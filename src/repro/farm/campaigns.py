@@ -459,13 +459,15 @@ def telemetry_probe() -> None:
       from the in-process memo, populating the ``riscof.sig_*`` tiers;
     * one tiny golden-checked SoC scenario (``scenario.runs`` /
       ``scenario.replays`` — an SoC scenario, so the fleet lane counts
-      above stay exact).
+      above stay exact);
+    * one clean chunked cosimulation (``cosim.chunks``).
 
     The fleet probe also exercises the fused fallback path (halt,
     emulated, mret, illegal, hw-trap exits) and the compile caches.
     """
     from ..isa.assembler import assemble
     from ..isa.instructions import INSTRUCTIONS
+    from ..rtl.core_sim import cosimulate
     from ..rtl.fleet import FleetSim
     from ..rtl.rissp import build_rissp
     from ..scenario.gen import mutate_toward
@@ -491,6 +493,8 @@ def telemetry_probe() -> None:
                                    budget=256,
                                    scenario_id="probe:halt.wfi")
     run_scenario(core, probe_scenario, check_backends=True)
+    cosimulate(core, assemble(".text\nmain:\n    li a0, 7\n    ret\n"),
+               backend="fused")
 
 
 # -------------------------------------------------- scaling measurement

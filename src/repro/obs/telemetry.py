@@ -44,6 +44,11 @@ Counter taxonomy (see README for the narrative):
     Batched-fleet lane lifecycle: passes, in-batch halts, and lane
     divergences classified by cause (fetch, emulated, mret, rv32e_bound,
     illegal, trap, load_oob, store_oob, other).
+``cosim.*``
+    Chunked fused cosimulation (:func:`repro.rtl.core_sim.cosimulate`):
+    chunks compared column by column, and the chunks among them that
+    differed and fell back to the row-by-row first-divergence walk —
+    bumped once per chunk, never per row.
 ``riscof.*``
     Golden-signature cache for the compliance flow: lookups, in-process
     memo hits, on-disk cache hits, full golden recomputes.
@@ -99,6 +104,10 @@ COUNTERS: tuple[str, ...] = (
     "fleet.diverge.load_oob",
     "fleet.diverge.store_oob",
     "fleet.diverge.other",
+    # -- chunked fused cosimulation: chunks compared, and chunks that
+    # -- differed and fell back to the row-by-row walk
+    "cosim.chunks",
+    "cosim.row_fallbacks",
     # -- riscof golden-signature cache
     "riscof.sig_lookup",
     "riscof.sig_memo_hit",

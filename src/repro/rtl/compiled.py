@@ -32,17 +32,19 @@ the RAM bytearray directly, every combinational assign lives in a Python
 local (no ``env`` dict traffic inside the loop), a data-memory read
 re-evaluates only the dependency cone of ``dmem_rdata`` instead of the
 whole DAG, the store-strobe decode and the register/register-file commit
-are inlined, and the RVFI columns are written straight from the signal
-locals.  The loop calls back into Python only for the rare events the
-harness owns: MMIO/device-window accesses, traps and interrupts (one
-integer compare of the retirement counter against a precomputed fire
-index, exactly like the ISS fast path), harness-emulated Zicsr/``wfi``
-retirement, and halt classification.  Loop-carried register state is
-refreshed from ``env`` on entry and flushed back on exit (also on
-exceptions), so ``RtlSim.reset`` and peek/poke fault injection between
-``run_cycles`` calls observe exactly the per-cycle backends' register and
-register-file state; combinational ``env`` entries are re-settled by the
-harness from that flushed state (probes should drive
+are inlined, and each retirement's RVFI row is passed from the signal
+locals to the ``sink`` callable (a trace's
+:meth:`~repro.sim.tracing.RvfiTrace.append_row`) in one call.  The loop
+calls back into Python only for the rare events the harness owns:
+MMIO/device-window accesses, traps and interrupts (one integer compare
+of the retirement counter against a precomputed fire index, exactly
+like the ISS fast path), harness-emulated Zicsr/``wfi`` retirement,
+and halt classification.  Loop-carried register state is refreshed from
+``env`` on entry and flushed back on exit (also on exceptions), so
+``RtlSim.reset`` and peek/poke fault injection between ``run_cycles``
+calls observe exactly the per-cycle backends' register and register-file
+state; combinational ``env`` entries are re-settled by the harness from
+that flushed state (probes should drive
 ``set_inputs``/``eval_comb``, as the state tests do).
 
 Compiled functions are cached per :class:`Module` object, keyed by a

@@ -570,46 +570,45 @@ def cosimulate(core: Module, program: Program,
     writeback, memory effect (read *and* write side) and trap/interrupt
     flags must agree.
 
-    Both sides retire into columnar :class:`RvfiTrace` sinks and the
-    comparison reads field columns directly — no per-retirement record
-    allocation.  On the per-cycle backends the RTL side keeps only the
-    newest row (ring capacity 1); the fused path buffers at most
-    :data:`COSIM_CHUNK` rows per chunk.
+    Both sides retire into columnar :class:`RvfiTrace` sinks — no
+    per-retirement record allocation.  On the per-cycle backends the RTL
+    side keeps only the newest row (ring capacity 1) and each retirement
+    is compared as it happens.
 
     ``golden_trace_out``, when given, receives the golden reference's RVFI
-    retirements as they happen — callers wanting to additionally spec-check
-    the reference (see :func:`repro.verify.rvfi.check_trace`) reuse this
-    trace instead of paying for a second traced golden run.  Pass an
-    :class:`RvfiTrace` to record columnar rows in place; a plain list
-    receives materialized :class:`RvfiRecord` objects for back-compat.
+    retirements through the last compared row (the divergence, when there
+    is one) — callers wanting to additionally spec-check the reference
+    (see :func:`repro.verify.rvfi.check_trace`) reuse this trace instead
+    of paying for a second traced golden run.  Pass an :class:`RvfiTrace`
+    to receive columnar rows (handed over with :meth:`RvfiTrace.extend`);
+    a plain list receives materialized :class:`RvfiRecord` objects for
+    back-compat.
 
     ``backend`` forces the RTL evaluator backend (``"fused"`` /
     ``"compiled"`` / ``"interpreter"``); the default follows
-    :class:`RtlSim`.  With the fused backend the RTL side executes in
-    chunks of :data:`COSIM_CHUNK` retirements through the fused loop and
-    the golden reference replays each chunk's rows in lock-step — same
-    first-divergence verdicts as the per-cycle walk (an RTL exception is
-    only re-raised after the rows retired before it compared clean), at a
-    fraction of the cycle cost.  ``soc`` attaches a
-    :class:`~repro.soc.SocSpec` — each side instantiates its own device
-    set from it, so lock-step covers MMIO and interrupt timing.
+    :class:`RtlSim`.  With the fused backend both sides execute in chunks
+    of at most :data:`COSIM_CHUNK` retirements and a chunk is compared
+    column by column (see :func:`_cosimulate_fused`) — same first-divergence
+    verdicts as the per-cycle walk, at a fraction of the cost.  ``soc``
+    attaches a :class:`~repro.soc.SocSpec` — each side instantiates its
+    own device set from it, so lock-step covers MMIO and interrupt
+    timing.
     """
     from ..sim.golden import GoldenSim
 
     rtl = RisspSim(core, program, trace=True, backend=backend, soc=soc)
     gold = GoldenSim(program, trace=True, soc=soc)
-    if isinstance(golden_trace_out, RvfiTrace):
-        gold_trace = golden_trace_out
-        emit_records = None
+    if golden_trace_out is None or isinstance(golden_trace_out, RvfiTrace):
+        out_trace = golden_trace_out
     else:
-        gold_trace = RvfiTrace(capacity=None if golden_trace_out is not None
-                               else 1)
-        emit_records = golden_trace_out
+        out_trace = RvfiTrace()
     field_slots = [RvfiTrace.FIELDS.index(name) for name in COSIM_FIELDS]
     try:
         if rtl._fused is not None:
-            return _cosimulate_fused(rtl, gold, gold_trace, field_slots,
+            return _cosimulate_fused(rtl, gold, out_trace, field_slots,
                                      max_instructions)
+        gold_trace = out_trace if out_trace is not None \
+            else RvfiTrace(capacity=1)
         rtl_trace = RvfiTrace(capacity=1)
         for index in range(max_instructions):
             rtl_halt, _ = rtl._cycle(index, rtl_trace)
@@ -623,15 +622,15 @@ def cosimulate(core: Module, program: Program,
                 return None
         return CosimMismatch(max_instructions, "limit", 0, 0)
     finally:
-        if emit_records is not None:
-            emit_records.extend(gold_trace)
+        if out_trace is not golden_trace_out:
+            golden_trace_out.extend(out_trace)
 
 
 def _retirement_mismatch(order: int, rtl_row: tuple, gold_row: tuple,
                          rtl_halt: bool, gold_halt: bool,
                          field_slots: list[int]) -> CosimMismatch | None:
     """First-divergence verdict for one retirement — the single compare
-    both the per-cycle walk and the chunked fused path go through, so
+    both the per-cycle walk and a differing fused chunk go through, so
     their verdicts cannot drift apart."""
     if rtl_row != gold_row:
         for slot, field_name in zip(field_slots, COSIM_FIELDS):
@@ -643,45 +642,95 @@ def _retirement_mismatch(order: int, rtl_row: tuple, gold_row: tuple,
     return None
 
 
-#: Retirements per fused-cosimulation chunk: bounds the RTL-side trace
-#: buffer (and how far the RTL can run past a divergence before the
-#: chunk's rows are compared).
+#: Retirements per fused-cosimulation chunk: bounds both sides' chunk
+#: buffers (and how far either side can run past a divergence before the
+#: chunk's columns are compared).
 COSIM_CHUNK = 4096
 
+#: Size of the first chunk.  Chunks then double (boundaries at 64, 128,
+#: 256, ...) up to :data:`COSIM_CHUNK`, so a divergence at row ``d`` lets
+#: the golden side run at most ``max(d, 64)`` rows past it: mutants and
+#: broken cores usually diverge within the first few dozen retirements,
+#: and the golden reference is the slow side.
+COSIM_FIRST_CHUNK = 64
 
-def _cosimulate_fused(rtl: RisspSim, gold, gold_trace: RvfiTrace,
+
+def _cosimulate_fused(rtl: RisspSim, gold, out_trace: RvfiTrace | None,
                       field_slots: list[int],
                       max_instructions: int) -> CosimMismatch | None:
-    """Chunked lock-step: fused RTL execution vs per-retirement golden.
+    """Chunked lock-step: fused RTL execution vs the golden reference,
+    compared column by column.
 
-    Verdict-equivalent to the per-cycle walk: rows are compared in
-    retirement order, halt divergence is checked per row, and an RTL-side
-    refusal (SimulationError/MemoryError_) propagates only if every row
-    retired before it matched — exactly the information order the
-    cycle-by-cycle loop observes.
+    Per chunk (:data:`COSIM_FIRST_CHUNK` rows, doubling up to
+    :data:`COSIM_CHUNK`) the fused loop retires the chunk's rows, then
+    the golden reference retires as many into its own chunk trace,
+    stopping early at its own halt or exception.  A clean chunk — same
+    halt outcome, no golden exception, every :data:`COSIM_FIELDS` column
+    ``list ==`` equal — costs no per-row Python work.  Only a chunk that
+    differs is walked row by row through :func:`_retirement_mismatch`, in
+    retirement order, so the verdict is exactly the per-cycle walk's: the
+    first differing field or halt flag wins, a golden exception
+    propagates only after the rows before it compared clean, and an
+    RTL-side refusal (SimulationError/MemoryError_) only after every row
+    retired before it matched.  ``out_trace`` receives the golden rows
+    through the last compared one.
     """
+    retire = gold.retire_one
     order = 0
     while order < max_instructions:
         chunk = RvfiTrace()
         refusal = None
         rtl_halted = False
+        size = min(COSIM_CHUNK, max(order, COSIM_FIRST_CHUNK))
         try:
             rtl_halted, _, _ = rtl._fused_run(
-                order, min(order + COSIM_CHUNK, max_instructions), chunk)
+                order, min(order + size, max_instructions), chunk)
         except (SimulationError, MemoryError_) as exc:
             refusal = exc
         rows = len(chunk)
-        for index in range(rows):
-            gold_halt, _ = gold.retire_one(order + index, gold_trace)
-            rtl_halt = rtl_halted and index == rows - 1
-            mismatch = _retirement_mismatch(order + index, chunk.row(index),
-                                            gold_trace.row(-1), rtl_halt,
-                                            gold_halt, field_slots)
-            if mismatch is not None:
-                return mismatch
-            if rtl_halt:
+        gold_chunk = RvfiTrace()
+        gold_halted = False
+        gold_error = None
+        try:
+            for index in range(order, order + rows):
+                if retire(index, gold_chunk)[0]:
+                    gold_halted = True
+                    break
+        except Exception as exc:
+            # Deferred, not dropped: the per-cycle walk would meet it only
+            # after the rows before it compared clean, and never past a
+            # divergence, so it is re-raised below in that order.
+            gold_error = exc
+        clean = gold_error is None and gold_halted == rtl_halted and all(
+            chunk.column(name) == gold_chunk.column(name)
+            for name in COSIM_FIELDS)
+        active = _obs._ACTIVE
+        if active is not None:
+            active.counters["cosim.chunks"] += 1
+            if not clean:
+                active.counters["cosim.row_fallbacks"] += 1
+        if clean:
+            if out_trace is not None:
+                out_trace.extend(gold_chunk)
+            if rtl_halted:
                 return None
-        if refusal is not None:
-            raise refusal
-        order += rows
+            if refusal is not None:
+                raise refusal
+            order += rows
+            continue
+        gold_rows = len(gold_chunk)
+        for index in range(min(rows, gold_rows)):
+            mismatch = _retirement_mismatch(
+                order + index, chunk.row(index), gold_chunk.row(index),
+                rtl_halted and index == rows - 1,
+                gold_halted and index == gold_rows - 1, field_slots)
+            if mismatch is not None:
+                if out_trace is not None:
+                    out_trace.extend(gold_chunk, index + 1)
+                return mismatch
+        # Every compared row matched, so the chunk differs only because
+        # the golden side raised before retiring all of the RTL's rows.
+        if out_trace is not None:
+            out_trace.extend(gold_chunk)
+        raise gold_error
     return CosimMismatch(max_instructions, "limit", 0, 0)

@@ -115,8 +115,7 @@ def run_soc_scenario(core, scenario: SocScenario, backend: str = "fused"):
                 refusal = type(exc).__name__
                 done = True
                 break
-            for index in range(len(result.trace)):
-                master.append_row(*result.trace.row(index))
+            master.extend(result.trace)
             total += result.instructions
             if result.halted_by != "limit" or total >= scenario.budget:
                 halted_by = result.halted_by

@@ -69,7 +69,8 @@ class RunResult:
     """Outcome of a completed simulation.
 
     ``trace`` is a sequence of :class:`RvfiRecord` — recorded runs return
-    the columnar :class:`RvfiTrace`, which materializes records lazily.
+    the columnar :class:`RvfiTrace`, which materializes records only when
+    indexed or iterated as records.
     """
 
     exit_code: int            # a0 at the terminating ecall/ebreak, or the

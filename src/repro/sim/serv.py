@@ -149,11 +149,17 @@ class ServSim:
         count = 0
         trace = RvfiTrace(capacity=golden._trace_capacity) \
             if golden._trace_enabled else RvfiTrace(capacity=1)
+        capacity = trace.capacity
+        pc_rdata_col = trace.column("pc_rdata")
+        pc_wdata_col = trace.column("pc_wdata")
+        trap_col = trace.column("trap")
         halted_by = "limit"
         while count < max_instructions:
             halted, reason = golden.retire_one(count, trace)
-            row = trace.row(-1)
-            pc_rdata, pc_wdata, trapped = row[2], row[3], row[15]
+            # Every retirement appends one row: the newest is at ``count``.
+            slot = count if capacity is None else count % capacity
+            pc_rdata, pc_wdata = pc_rdata_col[slot], pc_wdata_col[slot]
+            trapped = trap_col[slot]
             if trapped:
                 cycles += self.config.bits
             else:

@@ -20,6 +20,7 @@ fields the golden ISS does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, starmap
 from typing import Iterator
 
 from ..isa.bits import sign_extend, to_u32
@@ -52,29 +53,33 @@ class RvfiRecord:
 class RvfiTrace:
     """Columnar RVFI retirement trace with optional ring-buffer capacity.
 
-    Long verification runs used to allocate one :class:`RvfiRecord` per
-    retirement; this container stores each RVFI field in its own column
-    list instead, so recording a retirement is 17 integer appends (or, in
-    ring mode, 17 in-place slot writes — zero allocation) via
-    :meth:`append_row`.  It quacks like a read-only sequence of
-    :class:`RvfiRecord`: ``len(trace)``, ``trace[i]``, slicing and
-    iteration all materialize records on demand, so existing consumers
-    (``check_trace``, tests that copy and corrupt traces) keep working
-    unchanged.
+    Each RVFI field lives in its own column list, so recording a
+    retirement is 17 integer appends through pre-bound ``list.append``
+    methods (or, in ring mode, 17 in-place slot writes — zero allocation)
+    via :meth:`append_row`, and no per-retirement object is ever built.
+    Bulk consumers read it without materializing records either:
+    :meth:`column` hands out a raw field column (the cosimulation compare
+    and the coverage scorer use ``list ==`` and column scans),
+    :meth:`rows` iterates plain field tuples in retirement order (the
+    :func:`~repro.verify.rvfi.check_trace` loop) and :meth:`extend` copies
+    another trace column by column.  It still quacks like a read-only
+    sequence of :class:`RvfiRecord` — ``len(trace)``, ``trace[i]``,
+    slicing and iteration materialize records on demand — for tests that
+    copy and corrupt traces.
 
     With ``capacity=N`` the trace keeps only the newest N retirements
     (index 0 is the oldest *retained* row); ``total_appended`` still counts
     every retirement ever recorded.
     """
 
-    #: Field order shared by :meth:`append_row` and :meth:`row`; matches
-    #: the :class:`RvfiRecord` constructor.
+    #: Field order shared by :meth:`append_row`, :meth:`row` and
+    #: :meth:`rows`; matches the :class:`RvfiRecord` constructor.
     FIELDS = ("order", "insn", "pc_rdata", "pc_wdata", "rs1_addr",
               "rs2_addr", "rs1_rdata", "rs2_rdata", "rd_addr", "rd_wdata",
               "mem_addr", "mem_rmask", "mem_wmask", "mem_rdata",
               "mem_wdata", "trap", "intr")
 
-    __slots__ = ("capacity", "total_appended", "_columns")
+    __slots__ = ("capacity", "total_appended", "_columns", "_appenders")
 
     def __init__(self, capacity: int | None = None):
         if capacity is not None and capacity <= 0:
@@ -83,8 +88,11 @@ class RvfiTrace:
         self.total_appended = 0
         if capacity is None:
             self._columns = tuple([] for _ in self.FIELDS)
+            self._appenders = tuple(column.append
+                                    for column in self._columns)
         else:
             self._columns = tuple([0] * capacity for _ in self.FIELDS)
+            self._appenders = None
 
     def append_row(self, order: int, insn: int, pc_rdata: int,
                    pc_wdata: int, rs1_addr: int, rs2_addr: int,
@@ -92,17 +100,51 @@ class RvfiTrace:
                    rd_wdata: int, mem_addr: int = 0, mem_rmask: int = 0,
                    mem_wmask: int = 0, mem_rdata: int = 0,
                    mem_wdata: int = 0, trap: int = 0, intr: int = 0) -> None:
-        values = (order, insn, pc_rdata, pc_wdata, rs1_addr, rs2_addr,
-                  rs1_rdata, rs2_rdata, rd_addr, rd_wdata, mem_addr,
-                  mem_rmask, mem_wmask, mem_rdata, mem_wdata, trap, intr)
-        if self.capacity is None:
-            for column, value in zip(self._columns, values):
-                column.append(value)
+        appenders = self._appenders
+        if appenders is not None:
+            (a_order, a_insn, a_pc_rdata, a_pc_wdata, a_rs1_addr,
+             a_rs2_addr, a_rs1_rdata, a_rs2_rdata, a_rd_addr, a_rd_wdata,
+             a_mem_addr, a_mem_rmask, a_mem_wmask, a_mem_rdata,
+             a_mem_wdata, a_trap, a_intr) = appenders
+            a_order(order)
+            a_insn(insn)
+            a_pc_rdata(pc_rdata)
+            a_pc_wdata(pc_wdata)
+            a_rs1_addr(rs1_addr)
+            a_rs2_addr(rs2_addr)
+            a_rs1_rdata(rs1_rdata)
+            a_rs2_rdata(rs2_rdata)
+            a_rd_addr(rd_addr)
+            a_rd_wdata(rd_wdata)
+            a_mem_addr(mem_addr)
+            a_mem_rmask(mem_rmask)
+            a_mem_wmask(mem_wmask)
+            a_mem_rdata(mem_rdata)
+            a_mem_wdata(mem_wdata)
+            a_trap(trap)
+            a_intr(intr)
         else:
+            values = (order, insn, pc_rdata, pc_wdata, rs1_addr, rs2_addr,
+                      rs1_rdata, rs2_rdata, rd_addr, rd_wdata, mem_addr,
+                      mem_rmask, mem_wmask, mem_rdata, mem_wdata, trap,
+                      intr)
             slot = self.total_appended % self.capacity
             for column, value in zip(self._columns, values):
                 column[slot] = value
         self.total_appended += 1
+
+    def extend(self, other: "RvfiTrace", stop: int | None = None) -> None:
+        """Append ``other``'s retained rows (the first ``stop`` of them
+        when given) in retirement order — a column-wise copy when both
+        traces are unbounded."""
+        count = len(other) if stop is None else min(stop, len(other))
+        if self.capacity is None and other.capacity is None:
+            for column, source in zip(self._columns, other._columns):
+                column.extend(islice(source, count))
+            self.total_appended += count
+        else:
+            for row in islice(other.rows(), count):
+                self.append_row(*row)
 
     def column(self, field: str) -> list[int]:
         """The raw column for ``field`` (ring mode: physical slot order)."""
@@ -122,6 +164,22 @@ class RvfiTrace:
         """All 17 fields of one retirement as a tuple (``FIELDS`` order)."""
         slot = self._slot(index)
         return tuple(column[slot] for column in self._columns)
+
+    def rows(self) -> Iterator[tuple[int, ...]]:
+        """Every retained retirement as a ``FIELDS``-order tuple, oldest
+        first (a wrapped ring starts at its oldest physical slot)."""
+        columns = self._columns
+        if self.capacity is None:
+            return zip(*columns)
+        length = len(self)
+        start = self._slot(0) if length else 0
+        head = zip(*(islice(column, start, start + length)
+                     for column in columns))
+        if start + length <= self.capacity:
+            return head
+        wrapped = start + length - self.capacity
+        return chain(head, zip(*(islice(column, wrapped)
+                                 for column in columns)))
 
     def peek(self, index: int, field: str) -> int:
         """Read one field of one retirement without materializing it."""
@@ -143,8 +201,7 @@ class RvfiTrace:
         return RvfiRecord(*self.row(index))
 
     def __iter__(self) -> Iterator[RvfiRecord]:
-        for index in range(len(self)):
-            yield RvfiRecord(*self.row(index))
+        return starmap(RvfiRecord, self.rows())
 
 
 def load_read_fields(addr: int, word: int, width: int,

@@ -32,6 +32,7 @@ without trapping is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 from ..isa.bits import sign_extend, to_u32
@@ -51,10 +52,10 @@ from ..isa.csrs import (
     MTVEC,
 )
 from ..isa.encoding import DecodeError, decode
-from ..isa.instructions import CSR_OPS
+from ..isa.instructions import ALL_INSTRUCTIONS, CSR_OPS
 from ..isa.spec import SpecError, step
 from ..sim.csr import CsrError, READ_ONLY_CSRS, warl_mask
-from ..sim.tracing import RvfiRecord
+from ..sim.tracing import RvfiRecord, RvfiTrace
 
 #: Exception codes an interrupt row's ``intr`` column may legally carry
 #: (the arbitrated cause, see :data:`repro.isa.csrs.INTERRUPT_SOURCES`).
@@ -62,6 +63,19 @@ _INTR_CODES = frozenset(cause & 0x3F for _, cause in INTERRUPT_SOURCES)
 
 _CSR_MNEMONICS = set(CSR_OPS)
 _SYSTEM_MNEMONICS = _CSR_MNEMONICS | {"mret", "wfi"}
+
+#: mnemonic -> (reads rs1, reads rs2): which source-register columns the
+#: reg checks hold against the shadow file (the Zicsr immediate forms
+#: carry a uimm, not a register, in the rs1 field).
+_OPERAND_USE = {
+    d.mnemonic: (d.fmt.value in ("R", "I", "S", "B")
+                 or (d.fmt.value == "CSR" and not d.csr_uimm),
+                 d.fmt.value in ("R", "S", "B"))
+    for d in ALL_INSTRUCTIONS}
+
+#: Adapts an :class:`RvfiRecord` to the field tuple ``RvfiTrace.rows``
+#: yields, so :func:`check_trace` has one loop for every input.
+_record_fields = attrgetter(*RvfiTrace.FIELDS)
 
 
 @dataclass
@@ -130,160 +144,165 @@ def check_trace(trace: Sequence[RvfiRecord],
                 max_errors: int = 25) -> RvfiCheckReport:
     """Validate a retirement trace against the executable spec.
 
-    ``trace`` is any sequence of :class:`RvfiRecord` — a plain list or the
-    columnar :class:`~repro.sim.tracing.RvfiTrace`, which materializes
-    records lazily while iterating here.
+    ``trace`` is the columnar :class:`~repro.sim.tracing.RvfiTrace`, read
+    as plain field tuples through :meth:`~repro.sim.tracing.RvfiTrace.rows`
+    (no record is materialized), or any other sequence of
+    :class:`RvfiRecord` (a plain list, say), adapted to the same tuples —
+    one checking loop either way.
     """
     report = RvfiCheckReport()
+    errors = report.errors
     shadow: dict[int, int] = dict(initial_regs or {})
     csrs = _ShadowCsrs()
     prev_pc_wdata: int | None = None
     prev_order: int | None = None
+    rows = trace.rows() if isinstance(trace, RvfiTrace) \
+        else map(_record_fields, trace)
 
-    for record in trace:
-        if len(report.errors) >= max_errors:
+    # The spec callbacks are built once; they read the row under check
+    # (and its decoded instruction) through the loop variables below.
+    def load(addr: int, width: int, signed: bool) -> int:
+        # Model the load from the record's own memory view.
+        offset = (addr - (mem_addr & ~0x3)) & 0x3 \
+            if mem_rmask else addr & 0x3
+        raw = mem_rdata
+        if width == 4:
+            value = raw
+        else:
+            value = (raw >> (8 * offset)) & ((1 << (8 * width)) - 1) \
+                if mem_rmask == 0b1111 else raw
+        if signed and width < 4:
+            value = to_u32(sign_extend(value, 8 * width))
+        return value
+
+    def read_csr(addr: int) -> int:
+        # Shadow-known values are checked exactly; unobserved ones are
+        # learned from the record itself (rd for Zicsr reads, the
+        # redirect target for mret) and verified self-consistently.
+        if csrs.known(addr):
+            return csrs.values[addr]
+        if mnemonic in _CSR_MNEMONICS and rd_addr:
+            return rd_wdata
+        if mnemonic == "mret":
+            return pc_wdata
+        return 0
+
+    for (order, insn, pc_rdata, pc_wdata, rs1_addr, rs2_addr, rs1_rdata,
+         rs2_rdata, rd_addr, rd_wdata, mem_addr, mem_rmask, mem_wmask,
+         mem_rdata, mem_wdata, trap, intr) in rows:
+        if len(errors) >= max_errors:
             break
         report.records_checked += 1
-        where = f"order={record.order} pc={record.pc_rdata:#x}"
+        where = f"order={order} pc={pc_rdata:#x}"
 
         # --- pc checks -------------------------------------------------
-        if prev_order is not None and record.order != prev_order + 1:
-            report.errors.append(f"{where}: order gap after {prev_order}")
-        prev_order = record.order
-        if record.intr:
+        if prev_order is not None and order != prev_order + 1:
+            errors.append(f"{where}: order gap after {prev_order}")
+        prev_order = order
+        if intr:
             # Interrupt entry redirected the pc between retirements; the
             # handler address replaces the chain, and the interrupted pc
             # became mepc.  The intr column carries the arbitrated
             # exception code (mcause low bits) of the source that won.
-            if record.intr not in _INTR_CODES:
-                report.errors.append(
+            if intr not in _INTR_CODES:
+                errors.append(
                     f"{where}: intr carries unknown interrupt code "
-                    f"{record.intr}")
+                    f"{intr}")
             if csrs.known(MTVEC) \
-                    and record.pc_rdata != csrs.values[MTVEC] & ~0x3:
-                report.errors.append(
-                    f"{where}: interrupt entered at {record.pc_rdata:#x}, "
+                    and pc_rdata != csrs.values[MTVEC] & ~0x3:
+                errors.append(
+                    f"{where}: interrupt entered at {pc_rdata:#x}, "
                     f"mtvec is {csrs.values[MTVEC]:#x}")
             if prev_pc_wdata is not None:
                 # Full trap-entry model: stacks MIE and resets MTVAL too.
-                csrs.trap_entry(prev_pc_wdata,
-                                CAUSE_INTERRUPT | record.intr, 0)
-        elif prev_pc_wdata is not None and record.pc_rdata != prev_pc_wdata:
-            report.errors.append(
+                csrs.trap_entry(prev_pc_wdata, CAUSE_INTERRUPT | intr, 0)
+        elif prev_pc_wdata is not None and pc_rdata != prev_pc_wdata:
+            errors.append(
                 f"{where}: pc_rdata != previous pc_wdata "
                 f"{prev_pc_wdata:#x}")
-        prev_pc_wdata = record.pc_wdata
+        prev_pc_wdata = pc_wdata
 
         # --- trap rows ---------------------------------------------------
-        if record.trap:
+        if trap:
             if csrs.known(MTVEC) \
-                    and record.pc_wdata != csrs.values[MTVEC] & ~0x3:
-                report.errors.append(
-                    f"{where}: trap redirected to {record.pc_wdata:#x}, "
+                    and pc_wdata != csrs.values[MTVEC] & ~0x3:
+                errors.append(
+                    f"{where}: trap redirected to {pc_wdata:#x}, "
                     f"mtvec is {csrs.values[MTVEC]:#x}")
-            if record.rd_addr or record.mem_wmask:
-                report.errors.append(
+            if rd_addr or mem_wmask:
+                errors.append(
                     f"{where}: trapping instruction has side effects")
-            cause = _trap_cause(record.insn)
-            csrs.trap_entry(record.pc_rdata, cause,
-                            record.insn
-                            if cause == CAUSE_ILLEGAL_INSTRUCTION else 0)
+            cause = _trap_cause(insn)
+            csrs.trap_entry(pc_rdata, cause,
+                            insn if cause == CAUSE_ILLEGAL_INSTRUCTION
+                            else 0)
             continue
 
         # --- reg checks --------------------------------------------------
         try:
-            instr = decode(record.insn)
+            instr = decode(insn)
         except DecodeError as exc:
-            report.errors.append(f"{where}: undecodable insn: {exc}")
+            errors.append(f"{where}: undecodable insn: {exc}")
             continue
-        d = instr.definition
-        uses_rs1 = d.fmt.value in ("R", "I", "S", "B") \
-            or (d.fmt.value == "CSR" and not d.csr_uimm)
-        uses_rs2 = d.fmt.value in ("R", "S", "B")
-        if uses_rs1 and record.rs1_addr in shadow:
-            want = shadow[record.rs1_addr] if record.rs1_addr else 0
-            if record.rs1_rdata != want:
-                report.errors.append(
-                    f"{where}: rs1 x{record.rs1_addr} read "
-                    f"{record.rs1_rdata:#x}, shadow {want:#x}")
-        if uses_rs2 and record.rs2_addr in shadow:
-            want = shadow[record.rs2_addr] if record.rs2_addr else 0
-            if record.rs2_rdata != want:
-                report.errors.append(
-                    f"{where}: rs2 x{record.rs2_addr} read "
-                    f"{record.rs2_rdata:#x}, shadow {want:#x}")
+        mnemonic = instr.mnemonic
+        uses_rs1, uses_rs2 = _OPERAND_USE[mnemonic]
+        if uses_rs1 and rs1_addr in shadow:
+            want = shadow[rs1_addr] if rs1_addr else 0
+            if rs1_rdata != want:
+                errors.append(
+                    f"{where}: rs1 x{rs1_addr} read "
+                    f"{rs1_rdata:#x}, shadow {want:#x}")
+        if uses_rs2 and rs2_addr in shadow:
+            want = shadow[rs2_addr] if rs2_addr else 0
+            if rs2_rdata != want:
+                errors.append(
+                    f"{where}: rs2 x{rs2_addr} read "
+                    f"{rs2_rdata:#x}, shadow {want:#x}")
 
         # --- insn checks -------------------------------------------------
-        def load(addr: int, width: int, signed: bool) -> int:
-            # Model the load from the record's own memory view.
-            offset = (addr - (record.mem_addr & ~0x3)) & 0x3 \
-                if record.mem_rmask else addr & 0x3
-            raw = record.mem_rdata
-            if width == 4:
-                value = raw
-            else:
-                value = (raw >> (8 * offset)) & ((1 << (8 * width)) - 1) \
-                    if record.mem_rmask == 0b1111 else raw
-            if signed and width < 4:
-                value = to_u32(sign_extend(value, 8 * width))
-            return value
-
         csr_known = True
-        is_system = instr.mnemonic in _SYSTEM_MNEMONICS
+        is_system = mnemonic in _SYSTEM_MNEMONICS
         if is_system:
-            if instr.mnemonic in _CSR_MNEMONICS:
+            if mnemonic in _CSR_MNEMONICS:
                 source_addr = instr.imm & 0xFFF
             else:
                 source_addr = MEPC
             csr_known = csrs.known(source_addr)
 
-        def read_csr(addr: int) -> int:
-            # Shadow-known values are checked exactly; unobserved ones are
-            # learned from the record itself (rd for Zicsr reads, the
-            # redirect target for mret) and verified self-consistently.
-            if csrs.known(addr):
-                return csrs.values[addr]
-            if instr.mnemonic in _CSR_MNEMONICS and record.rd_addr:
-                return record.rd_wdata
-            if instr.mnemonic == "mret":
-                return record.pc_wdata
-            return 0
-
         try:
-            expected = step(instr, record.pc_rdata, record.rs1_rdata,
-                            record.rs2_rdata,
-                            load if record.mem_rmask else None,
+            expected = step(instr, pc_rdata, rs1_rdata, rs2_rdata,
+                            load if mem_rmask else None,
                             read_csr if is_system else None)
         except (SpecError, CsrError) as exc:
-            report.errors.append(f"{where}: spec refusal: {exc}")
+            errors.append(f"{where}: spec refusal: {exc}")
             continue
-        if record.pc_wdata != expected.next_pc:
-            report.errors.append(
-                f"{where}: pc_wdata {record.pc_wdata:#x} != spec "
+        if pc_wdata != expected.next_pc:
+            errors.append(
+                f"{where}: pc_wdata {pc_wdata:#x} != spec "
                 f"{expected.next_pc:#x}")
         want_rd = expected.rd or 0
-        if record.rd_addr != want_rd:
-            report.errors.append(
-                f"{where}: rd_addr {record.rd_addr} != spec {want_rd}")
-        elif want_rd and csr_known and record.rd_wdata != expected.rd_data:
-            report.errors.append(
-                f"{where}: rd_wdata {record.rd_wdata:#x} != spec "
+        if rd_addr != want_rd:
+            errors.append(
+                f"{where}: rd_addr {rd_addr} != spec {want_rd}")
+        elif want_rd and csr_known and rd_wdata != expected.rd_data:
+            errors.append(
+                f"{where}: rd_wdata {rd_wdata:#x} != spec "
                 f"{expected.rd_data:#x}")
         if expected.mem_write is not None:
             mw = expected.mem_write
-            if not record.mem_wmask:
-                report.errors.append(f"{where}: missing store effect")
+            if not mem_wmask:
+                errors.append(f"{where}: missing store effect")
             else:
-                if record.mem_addr != mw.addr:
-                    report.errors.append(
-                        f"{where}: store addr {record.mem_addr:#x} != "
+                if mem_addr != mw.addr:
+                    errors.append(
+                        f"{where}: store addr {mem_addr:#x} != "
                         f"{mw.addr:#x}")
-                if record.mem_wdata != mw.data:
-                    report.errors.append(
-                        f"{where}: store data {record.mem_wdata:#x} != "
+                if mem_wdata != mw.data:
+                    errors.append(
+                        f"{where}: store data {mem_wdata:#x} != "
                         f"{mw.data:#x}")
-        elif record.mem_wmask:
-            report.errors.append(f"{where}: spurious store effect")
+        elif mem_wmask:
+            errors.append(f"{where}: spurious store effect")
 
         if expected.csr_write is not None:
             write_addr, write_value = expected.csr_write
@@ -292,16 +311,16 @@ def check_trace(trace: Sequence[RvfiRecord],
                 # read-only CSR must raise illegal instruction — it can
                 # never appear as a plain retirement.  (Pure-read forms
                 # produce no csr_write and are exempt.)
-                report.errors.append(
-                    f"{where}: {instr.mnemonic} wrote read-only CSR "
+                errors.append(
+                    f"{where}: {mnemonic} wrote read-only CSR "
                     f"{write_addr:#x} without trapping")
             # The written value is only trustworthy when the old value was
             # observable: shadow-known, read out through rd, or irrelevant
             # (csrrw/csrrwi overwrite unconditionally).  A blind
             # read-modify-write (csrrs/csrrc with rd=x0 on an unobserved
             # CSR) must *invalidate* the shadow, not learn a guess.
-            old_observable = csr_known or record.rd_addr \
-                or instr.mnemonic in ("csrrw", "csrrwi")
+            old_observable = csr_known or rd_addr \
+                or mnemonic in ("csrrw", "csrrwi")
             try:
                 if old_observable:
                     csrs.write(write_addr, write_value)
@@ -313,7 +332,7 @@ def check_trace(trace: Sequence[RvfiRecord],
             csrs.unstack_mie()
 
         if want_rd:
-            shadow[want_rd] = record.rd_wdata if not csr_known \
+            shadow[want_rd] = rd_wdata if not csr_known \
                 else expected.rd_data
 
     return report

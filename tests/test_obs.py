@@ -126,6 +126,40 @@ def test_fused_loop_counters(full_core, halt_program):
     assert counters["decode_cache.misses"] <= result.instructions
 
 
+def test_cosim_chunk_counters(full_core, monkeypatch):
+    """One bump per compared chunk; a clean cosim never falls back to the
+    row walk, an injected divergence falls back exactly once."""
+    from repro.rtl import core_sim
+
+    monkeypatch.setattr(core_sim, "COSIM_CHUNK", 64)
+    # HALT_SOURCE's loop bounded by a2 = 50: ~250 retirements.
+    program = assemble(".text\n    li a2, 50\n"
+                       + HALT_SOURCE.replace(".text", ""))
+    with obs.session() as telemetry:
+        assert core_sim.cosimulate(full_core, program,
+                                   backend="fused") is None
+    counters = telemetry.counters
+    retired = counters["fused.retired"]
+    assert retired > 2 * 64
+    assert counters["cosim.chunks"] == -(-retired // 64)
+    assert counters["cosim.row_fallbacks"] == 0
+
+    fused_run = RisspSim._fused_run
+
+    def corrupted(self, count, limit, trace):
+        outcome = fused_run(self, count, limit, trace)
+        if count == 64:
+            trace.poke(3, "rd_wdata", trace.peek(3, "rd_wdata") ^ 4)
+        return outcome
+
+    monkeypatch.setattr(RisspSim, "_fused_run", corrupted)
+    with obs.session() as telemetry:
+        mismatch = core_sim.cosimulate(full_core, program, backend="fused")
+    assert (mismatch.index, mismatch.field) == (67, "rd_wdata")
+    assert telemetry.counters["cosim.chunks"] == 2
+    assert telemetry.counters["cosim.row_fallbacks"] == 1
+
+
 def test_compile_cache_counters(halt_program):
     from repro.rtl.compiled import compile_core
 

@@ -32,7 +32,13 @@ import pytest
 
 from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl import build_rissp
-from repro.rtl.core_sim import RisspSim, cosimulate
+from repro.rtl import core_sim
+from repro.rtl.core_sim import (
+    COSIM_FIELDS,
+    CosimMismatch,
+    RisspSim,
+    cosimulate,
+)
 from repro.sim.tracing import RvfiTrace
 from repro.verify.fuzz import (
     FUZZ_BASE_SEED,
@@ -302,6 +308,193 @@ def test_fused_cosim_reports_limit_exhaustion(full_core):
                           backend="fused")
     assert mismatch is not None and mismatch.field == "limit"
     assert mismatch.index == 100
+
+
+# ------------------------------------ chunked compare verdict parity
+
+#: The verdict-parity tests shrink the chunk schedule to chunks of 16,
+#: 16, 32, then 64 rows, so every kind of chunk boundary sits a few dozen
+#: retirements in (the compare logic does not depend on the chunk sizes,
+#: only on where a row falls relative to a boundary).
+SMALL_FIRST_CHUNK = 16
+SMALL_CHUNK = 64
+
+#: A loop of ALU, store and sub-word load traffic: ~300 retirements, so
+#: row 0, both sides of each kind of chunk boundary and the halt row are
+#: distinct rows in distinct chunks.
+CHUNK_PROGRAM = """.text
+main:
+    addi sp, sp, -16
+    li t0, 50
+    li a0, 0
+loop:
+    addi a0, a0, 3
+    sw a0, 4(sp)
+    lbu a1, 4(sp)
+    add a0, a0, a1
+    addi t0, t0, -1
+    bnez t0, loop
+    addi sp, sp, 16
+    ret
+"""
+
+#: The same kind of loop, then a load far outside RAM: a refusal after a
+#: clean prefix that spans more than one chunk.
+REFUSAL_PROGRAM = """.text
+main:
+    li t0, 30
+loop:
+    addi a0, a0, 1
+    addi t0, t0, -1
+    bnez t0, loop
+    li t1, 0x7ffffff0
+fault:
+    lw a0, 0(t1)
+    ret
+"""
+
+
+def _small_chunks(patch):
+    patch.setattr(core_sim, "COSIM_FIRST_CHUNK", SMALL_FIRST_CHUNK)
+    patch.setattr(core_sim, "COSIM_CHUNK", SMALL_CHUNK)
+
+
+def _cosim_outcome(core, program, backend):
+    """(verdict, golden rows handed out) of one cosimulation; a refusal's
+    verdict is its exception type and message."""
+    from repro.sim.golden import SimulationError
+    from repro.sim.memory import MemoryError_
+
+    golden_rows = RvfiTrace()
+    try:
+        verdict = cosimulate(core, program, max_instructions=20_000,
+                             golden_trace_out=golden_rows, backend=backend)
+    except (SimulationError, MemoryError_) as exc:
+        verdict = (type(exc).__name__, str(exc))
+    return verdict, list(golden_rows.rows())
+
+
+def _chunked_vs_per_cycle(core, program):
+    """Outcome on the chunked fused path, asserted equal to the per-cycle
+    compiled walk's outcome."""
+    fused = _cosim_outcome(core, program, "fused")
+    assert fused == _cosim_outcome(core, program, "compiled")
+    return fused
+
+
+def _corrupt_rtl_row(patch, target, field):
+    """Flip one bit of ``field`` in RTL retirement ``target`` — in the
+    fused chunk trace and in the per-cycle ring row alike."""
+    fused_run, cycle = RisspSim._fused_run, RisspSim._cycle
+
+    def flip(trace, index):
+        trace.poke(index, field, trace.peek(index, field) ^ 1)
+
+    def corrupted_run(self, count, limit, trace):
+        outcome = fused_run(self, count, limit, trace)
+        if trace is not None and count <= target < count + len(trace):
+            flip(trace, target - count)
+        return outcome
+
+    def corrupted_cycle(self, order, sink=None):
+        outcome = cycle(self, order, sink)
+        if sink is not None and order == target:
+            flip(sink, -1)
+        return outcome
+
+    patch.setattr(RisspSim, "_fused_run", corrupted_run)
+    patch.setattr(RisspSim, "_cycle", corrupted_cycle)
+
+
+def _patch_golden(patch, target, outcome):
+    """Make the golden reference's retirement ``target`` report
+    ``outcome`` (a halt flag) or raise it (an exception)."""
+    from repro.sim.golden import GoldenSim
+
+    retire_one = GoldenSim.retire_one
+
+    def patched(self, order, sink=None):
+        if order == target and isinstance(outcome, Exception):
+            raise outcome
+        halted, reason = retire_one(self, order, sink)
+        if order == target:
+            return outcome, "ecall" if outcome else ""
+        return halted, reason
+
+    patch.setattr(GoldenSim, "retire_one", patched)
+
+
+@pytest.mark.parametrize("field", COSIM_FIELDS)
+def test_chunked_cosim_divergence_matches_per_cycle_walk(field, full_core,
+                                                         monkeypatch):
+    """A divergence in any compared column, at row 0, on either side of
+    the first and of a full-size chunk boundary, and at the halt row: the
+    column compare must fall back to exactly the per-cycle verdict, and
+    the golden trace handed out must end at the divergent row."""
+    from repro.sim.golden import GoldenSim
+
+    _small_chunks(monkeypatch)
+    program = assemble(CHUNK_PROGRAM)
+    clean = GoldenSim(program, trace=True).run()
+    halt_row = clean.instructions - 1
+    assert halt_row > 2 * SMALL_CHUNK
+    for target in (0, SMALL_FIRST_CHUNK - 1, SMALL_FIRST_CHUNK,
+                   SMALL_CHUNK - 1, SMALL_CHUNK, halt_row):
+        with monkeypatch.context() as patch:
+            _corrupt_rtl_row(patch, target, field)
+            mismatch, golden_rows = _chunked_vs_per_cycle(full_core,
+                                                          program)
+        want = clean.trace.peek(target, field)
+        assert mismatch == CosimMismatch(target, field, want ^ 1, want)
+        assert golden_rows == list(clean.trace.rows())[:target + 1]
+
+
+@pytest.mark.parametrize("case", ["golden_halts_first", "rtl_halts_first",
+                                  "golden_raises"])
+def test_chunked_cosim_halt_and_refusal_order(case, full_core,
+                                              monkeypatch):
+    from repro.sim.golden import GoldenSim, SimulationError
+
+    _small_chunks(monkeypatch)
+    program = assemble(CHUNK_PROGRAM)
+    clean = GoldenSim(program, trace=True).run()
+    halt_row = clean.instructions - 1
+    target, outcome, want = {
+        "golden_halts_first": (SMALL_CHUNK + 5, True,
+                               CosimMismatch(SMALL_CHUNK + 5, "halt", 0, 1)),
+        "rtl_halts_first": (halt_row, False,
+                            CosimMismatch(halt_row, "halt", 1, 0)),
+        "golden_raises": (SMALL_CHUNK + 5, SimulationError("injected"),
+                          ("SimulationError", "injected")),
+    }[case]
+    _patch_golden(monkeypatch, target, outcome)
+    verdict, golden_rows = _chunked_vs_per_cycle(full_core, program)
+    assert verdict == want
+    # A golden exception retires no row; a halt verdict's row is kept.
+    kept = target if case == "golden_raises" else target + 1
+    assert golden_rows == list(clean.trace.rows())[:kept]
+
+
+def test_chunked_cosim_rtl_refusal_after_clean_prefix(full_core,
+                                                      monkeypatch):
+    _small_chunks(monkeypatch)
+    program = assemble(REFUSAL_PROGRAM)
+    verdict, golden_rows = _chunked_vs_per_cycle(full_core, program)
+    assert verdict[0] == "MemoryError_"
+    # The refusing load retired on neither side; every row before it did.
+    assert len(golden_rows) > SMALL_CHUNK
+    next_pc = golden_rows[-1][RvfiTrace.FIELDS.index("pc_wdata")]
+    assert next_pc == program.symbol("fault")
+
+
+def test_chunked_cosim_clean_run_hands_out_full_golden_trace(full_core):
+    from repro.sim.golden import GoldenSim
+
+    program = assemble(CHUNK_PROGRAM)
+    clean = GoldenSim(program, trace=True).run()
+    verdict, golden_rows = _chunked_vs_per_cycle(full_core, program)
+    assert verdict is None
+    assert golden_rows == list(clean.trace.rows())
 
 
 # ------------------------------------------------- backend selection
