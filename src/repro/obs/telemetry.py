@@ -49,6 +49,10 @@ Counter taxonomy (see README for the narrative):
     chunks compared column by column, and the chunks among them that
     differed and fell back to the row-by-row first-divergence walk —
     bumped once per chunk, never per row.
+``golden.*``
+    Golden ISS recorded path
+    (:meth:`repro.sim.golden.GoldenSim.retire_chunk`): ``replays`` counts the retirements the chunk recorder handed to the
+    reflective ``retire_one`` — bumped once per chunk, never per row.
 ``riscof.*``
     Golden-signature cache for the compliance flow: lookups, in-process
     memo hits, on-disk cache hits, full golden recomputes.
@@ -108,6 +112,9 @@ COUNTERS: tuple[str, ...] = (
     # -- differed and fell back to the row-by-row walk
     "cosim.chunks",
     "cosim.row_fallbacks",
+    # -- golden recorded path: retirements the chunk recorder replayed
+    # -- through the reflective retire_one
+    "golden.replays",
     # -- riscof golden-signature cache
     "riscof.sig_lookup",
     "riscof.sig_memo_hit",

@@ -572,8 +572,12 @@ def cosimulate(core: Module, program: Program,
 
     Both sides retire into columnar :class:`RvfiTrace` sinks — no
     per-retirement record allocation.  On the per-cycle backends the RTL
-    side keeps only the newest row (ring capacity 1) and each retirement
-    is compared as it happens.
+    side keeps only the newest row (ring capacity 1), the golden side
+    retires row by row through
+    :meth:`~repro.sim.golden.GoldenSim.retire_one` and each retirement
+    is compared as it happens; this walk is the reference the chunked
+    fused path (golden side on
+    :meth:`~repro.sim.golden.GoldenSim.retire_chunk`) is tested against.
 
     ``golden_trace_out``, when given, receives the golden reference's RVFI
     retirements through the last compared row (the divergence, when there
@@ -663,10 +667,13 @@ def _cosimulate_fused(rtl: RisspSim, gold, out_trace: RvfiTrace | None,
 
     Per chunk (:data:`COSIM_FIRST_CHUNK` rows, doubling up to
     :data:`COSIM_CHUNK`) the fused loop retires the chunk's rows, then
-    the golden reference retires as many into its own chunk trace,
-    stopping early at its own halt or exception.  A clean chunk — same
-    halt outcome, no golden exception, every :data:`COSIM_FIELDS` column
-    ``list ==`` equal — costs no per-row Python work.  Only a chunk that
+    the golden reference records as many into its own chunk trace with
+    :meth:`~repro.sim.golden.GoldenSim.retire_chunk` (its decoded
+    executors, replaying only the rows its recorder cannot cover through
+    ``retire_one``), stopping early at its own halt or exception.  A
+    clean chunk — same halt outcome, no golden exception, every
+    :data:`COSIM_FIELDS` column ``list ==`` equal — costs no per-row
+    Python work.  Only a chunk that
     differs is walked row by row through :func:`_retirement_mismatch`, in
     retirement order, so the verdict is exactly the per-cycle walk's: the
     first differing field or halt flag wins, a golden exception
@@ -675,7 +682,6 @@ def _cosimulate_fused(rtl: RisspSim, gold, out_trace: RvfiTrace | None,
     retired before it matched.  ``out_trace`` receives the golden rows
     through the last compared one.
     """
-    retire = gold.retire_one
     order = 0
     while order < max_instructions:
         chunk = RvfiTrace()
@@ -692,10 +698,8 @@ def _cosimulate_fused(rtl: RisspSim, gold, out_trace: RvfiTrace | None,
         gold_halted = False
         gold_error = None
         try:
-            for index in range(order, order + rows):
-                if retire(index, gold_chunk)[0]:
-                    gold_halted = True
-                    break
+            gold_halted = gold.retire_chunk(order, order + rows,
+                                            gold_chunk)[1]
         except Exception as exc:
             # Deferred, not dropped: the per-cycle walk would meet it only
             # after the rows before it compared clean, and never past a

@@ -11,12 +11,16 @@ module memoizes the per-*address* work once per static instruction:
   (immediates pre-extracted, format dispatch hoisted out of the inner
   loop), and the static classification the Serv cycle model needs — so
   per-instruction cycle costs are computed at decode time, not per step.
+* Each op also carries its **recording plan** (:attr:`DecodedOp.record`):
+  what the golden ISS's chunk recorder needs to write a retirement's RVFI
+  row around the executor call, computed once here rather than per row.
 * Entries are **invalidated on stores into cached text**: compiled store
   executors call back into :meth:`DecodedImage.invalidate`, and the golden
-  ISS's record-keeping path does the same, so self-modifying programs
-  (including the self-patched halt-stub region) re-decode transparently.
-  RISC-V stores are width-aligned and therefore never straddle a word, so
-  invalidating the single covering word is exact.
+  ISS's reflective path does the same, so self-modifying programs
+  (including the self-patched halt-stub region) re-decode transparently,
+  recording plan included.  RISC-V stores are width-aligned and therefore
+  never straddle a word, so invalidating the single covering word is
+  exact.
 
 Lazy decoding preserves the seed's error envelope: a data word is only
 rejected as an illegal instruction if the pc actually reaches it, and
@@ -26,8 +30,11 @@ register-bound (RV32E) violations surface on first execution.
 from __future__ import annotations
 
 from ..isa.encoding import DecodeError, decode
-from ..isa.instructions import BRANCHES, LOADS, STORES
-from ..isa.spec import compile_step
+from ..isa.instructions import BRANCHES, LOADS, STORES, Format
+from ..isa.spec import _LOAD_WIDTH, _STORE_WIDTH, compile_step
+
+#: :attr:`DecodedOp.record` kinds: no memory access, load, store.
+RECORD_PLAIN, RECORD_LOAD, RECORD_STORE = 0, 1, 2
 
 
 class SimulationError(Exception):
@@ -35,10 +42,19 @@ class SimulationError(Exception):
 
 
 class DecodedOp:
-    """One static instruction: decoded fields plus its compiled executor."""
+    """One static instruction: decoded fields plus its compiled executor.
+
+    ``record`` is the recording plan ``(execute, word, rs1, rs2, rd, kind,
+    imm, lanes, data_mask)``: the RVFI register fields (``rd`` is 0 when
+    the instruction writes no register), a ``RECORD_*`` kind, the
+    immediate, the byte-lane mask of a load or store and the store data
+    mask.  It is None for instructions that must retire through the
+    reflective path: system instructions (ecall/ebreak/Zicsr/mret/wfi)
+    and loads to ``x0``, whose loaded value no register keeps.
+    """
 
     __slots__ = ("pc", "word", "instr", "execute",
-                 "is_mem", "is_branch", "is_jump")
+                 "is_mem", "is_branch", "is_jump", "record")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DecodedOp(pc={self.pc:#x}, {self.instr})"
@@ -47,20 +63,21 @@ class DecodedOp:
 class DecodedImage:
     """Lazy text-address -> :class:`DecodedOp` cache over one memory.
 
-    ``executors`` mirrors the cache as a bare ``pc -> closure`` dict so hot
-    loops can dispatch with a single dictionary probe; it is kept in sync
-    by :meth:`get` and :meth:`invalidate`.
+    ``ops`` is the ``pc -> DecodedOp`` cache itself and ``executors``
+    mirrors it as a bare ``pc -> closure`` dict, so hot loops can dispatch
+    with a single dictionary probe; both are kept in sync by :meth:`get`
+    and :meth:`invalidate`.
     """
 
     def __init__(self, memory, num_regs: int = 16):
         self.memory = memory
         self.num_regs = num_regs
-        self._ops: dict[int, DecodedOp] = {}
+        self.ops: dict[int, DecodedOp] = {}
         self.executors: dict[int, object] = {}
 
     def get(self, pc: int) -> DecodedOp:
         """Return the decoded op at ``pc``, compiling it on first use."""
-        op = self._ops.get(pc)
+        op = self.ops.get(pc)
         if op is None:
             op = self._compile(pc)
         return op
@@ -68,7 +85,7 @@ class DecodedImage:
     def invalidate(self, addr: int) -> None:
         """Drop the cached entry whose word covers byte address ``addr``."""
         base = addr & ~0x3 & 0xFFFFFFFF
-        if self._ops.pop(base, None) is not None:
+        if self.ops.pop(base, None) is not None:
             self.executors.pop(base, None)
 
     def _compile(self, pc: int) -> DecodedOp:
@@ -95,6 +112,32 @@ class DecodedImage:
         op.is_branch = mnemonic in BRANCHES
         op.is_jump = mnemonic in ("jal", "jalr")
         op.execute = compile_step(instr, store_hook=self.invalidate)
-        self._ops[pc] = op
+        op.record = _record_plan(op)
+        self.ops[pc] = op
         self.executors[pc] = op.execute
         return op
+
+
+def _record_plan(op: DecodedOp) -> tuple | None:
+    """The :attr:`DecodedOp.record` of a freshly compiled op."""
+    instr = op.instr
+    mnemonic = instr.mnemonic
+    rd = instr.rd
+    kind = RECORD_PLAIN
+    lanes = data_mask = 0
+    if mnemonic in _LOAD_WIDTH:
+        if rd == 0:
+            return None
+        kind = RECORD_LOAD
+        lanes = (1 << _LOAD_WIDTH[mnemonic][0]) - 1
+    elif mnemonic in _STORE_WIDTH:
+        kind, rd = RECORD_STORE, 0
+        width = _STORE_WIDTH[mnemonic]
+        lanes = (1 << width) - 1
+        data_mask = (1 << (8 * width)) - 1
+    elif mnemonic in BRANCHES or mnemonic == "fence":
+        rd = 0
+    elif instr.definition.fmt in (Format.SYS, Format.CSR):
+        return None
+    return (op.execute, op.word, instr.rs1, instr.rs2, rd, kind, instr.imm,
+            lanes, data_mask)

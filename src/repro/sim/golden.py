@@ -4,17 +4,29 @@ Executes RV32I/E programs straight from the executable spec
 (:mod:`repro.isa.spec`).  It is the reference model for RISCOF-style
 signature comparison and the source of reference RVFI traces.
 
-Two execution paths share one :class:`~repro.sim.decoded.DecodedImage`
-(the decoded-op cache, see :mod:`repro.sim.decoded`):
+Every path shares one :class:`~repro.sim.decoded.DecodedImage` (the
+decoded-op cache, see :mod:`repro.sim.decoded`):
 
 * **fast path** (``trace=False``, the default): :meth:`GoldenSim.run`
   dispatches precompiled executor closures keyed by pc — no per-retirement
   decode, no ``Effects`` allocation, no trace-record construction.  This
   took the loop microbenchmark from ~0.19 MIPS (seed interpreter) to
   multiple MIPS (>10x, see ``benchmarks/test_bench_sim_throughput.py``).
-* **recorded path** (``trace=True``): :meth:`GoldenSim.retire_one` keeps
-  the reflective ``spec.step`` flow so every retirement yields a full
-  columnar RVFI row, but decode still comes from the shared cache.
+* **recorded path** (``trace=True``, and the golden side of a fused
+  cosimulation): :meth:`GoldenSim.retire_chunk` runs the same executors
+  and writes each retirement's RVFI row straight into the sink's columns
+  from the op's decode-time recording plan (source values read before
+  the executor runs, ``rd`` and the memory fields derived after).
+* **reflective path**: :meth:`GoldenSim.retire_one` retires one
+  instruction through ``spec.step`` and is the single slow path.  The
+  chunk recorder replays through it every retirement it cannot record
+  itself — a word that does not decode (the replay raises or traps), a
+  system instruction or load to ``x0`` (no recording plan), an executor
+  that raises (executors raise before any side effect, so the replay
+  raises the identical exception), and, with a SoC attached, an MMIO
+  access or a retirement at or past the interrupt fire index (recomputed
+  after every replay).  The per-cycle cosimulation walk calls it row by
+  row and is the reference the chunk recorder is tested against.
 
 Machine-mode traps (PR 3): a :class:`~repro.sim.csr.CsrFile` is always
 present.  With ``mtvec == 0`` (reset) the seed's halt convention holds —
@@ -50,12 +62,15 @@ from ..isa.csrs import (
 from ..isa.program import DEFAULT_MEM_SIZE, Program
 from ..isa.registers import RV32E_NUM_REGS
 from ..isa.spec import DEFER_SYSTEM, HALT_EBREAK, step
+from ..obs import telemetry as _obs
 from .csr import CsrError, CsrFile
-from .decoded import DecodedImage, SimulationError
+from .decoded import (RECORD_LOAD, RECORD_PLAIN, DecodedImage,
+                      SimulationError)
 from .memory import Memory
 from .tracing import RvfiRecord, RvfiTrace
 # Safe despite repro.soc wrapping this simulator: the soc package only
 # imports the cycle-free repro.sim.memory submodule, never this module.
+from ..soc import NEVER
 from ..soc.bus import MmioDeferred, PowerOffSignal
 
 __all__ = ["GoldenSim", "RunResult", "SimulationError", "abi_initial_regs",
@@ -235,12 +250,114 @@ class GoldenSim:
                             trap=1, intr=intr)
         return False, ""
 
-    def step_one(self, order: int = 0) -> tuple[bool, RvfiRecord | None, str]:
-        """Back-compat wrapper over :meth:`retire_one` returning a record."""
-        sink = RvfiTrace(capacity=1) if self._trace_enabled else None
-        halted, reason = self.retire_one(order, sink)
-        record = sink[0] if sink is not None else None
-        return halted, record, reason
+    def retire_chunk(self, order: int, stop: int,
+                     sink: RvfiTrace) -> tuple[int, bool, str]:
+        """Retire instructions ``order`` .. ``stop - 1`` into the unbounded
+        ``sink``, one RVFI row each; returns ``(next_order, halted,
+        halt_reason)`` and stops early at a halt.
+
+        Rows are recorded on the decoded executors from each op's
+        recording plan (:attr:`~repro.sim.decoded.DecodedOp.record`); the
+        retirements the plan cannot cover are replayed through
+        :meth:`retire_one` (see the module docstring), so the rows are
+        exactly the ones :meth:`retire_one` would record.  An exception
+        propagates from the replay with every earlier row in ``sink``.
+        """
+        (a_order, a_insn, a_pc_rdata, a_pc_wdata, a_rs1_addr, a_rs2_addr,
+         a_rs1_rdata, a_rs2_rdata, a_rd_addr, a_rd_wdata, a_mem_addr,
+         a_mem_rmask, a_mem_wmask, a_mem_rdata, a_mem_wdata, a_trap,
+         a_intr) = sink.appenders()
+        regs = self.regs
+        memory = self.memory
+        op_get = self.image.ops.get
+        decode_op = self.image.get
+        soc = self.soc
+        bus = None if soc is None else soc.bus
+        fire_at = NEVER if soc is None else soc.fire_index(self.csr)
+        pc = self.pc
+        halted, reason = False, ""
+        replays = 0
+        if bus is not None:
+            bus.deferred = True
+        try:
+            while order < stop:
+                record = None
+                if order < fire_at:
+                    op = op_get(pc)
+                    if op is None:
+                        try:
+                            op = decode_op(pc)
+                        except Exception:
+                            pass    # replayed below, raising or trapping
+                    if op is not None:
+                        record = op.record
+                if record is not None:
+                    (execute, word, rs1, rs2, rd, kind, imm, lanes,
+                     data_mask) = record
+                    rs1_data = regs[rs1]
+                    rs2_data = regs[rs2]
+                    try:
+                        next_pc = execute(regs, memory, pc)
+                    except Exception:
+                        pass    # replayed below, raising again
+                    else:
+                        a_order(order)
+                        a_insn(word)
+                        a_pc_rdata(pc)
+                        a_pc_wdata(next_pc)
+                        a_rs1_addr(rs1)
+                        a_rs2_addr(rs2)
+                        a_rs1_rdata(rs1_data)
+                        a_rs2_rdata(rs2_data)
+                        a_rd_addr(rd)
+                        rd_data = regs[rd]
+                        a_rd_wdata(rd_data)
+                        if kind == RECORD_PLAIN:
+                            a_mem_addr(0)
+                            a_mem_rmask(0)
+                            a_mem_wmask(0)
+                            a_mem_rdata(0)
+                            a_mem_wdata(0)
+                        elif kind == RECORD_LOAD:
+                            a_mem_addr((rs1_data + imm) & _M32)
+                            a_mem_rmask(lanes)
+                            a_mem_wmask(0)
+                            a_mem_rdata(rd_data)
+                            a_mem_wdata(0)
+                        else:
+                            a_mem_addr((rs1_data + imm) & _M32)
+                            a_mem_rmask(0)
+                            a_mem_wmask(lanes)
+                            a_mem_rdata(0)
+                            a_mem_wdata(rs2_data & data_mask)
+                        a_trap(0)
+                        a_intr(0)
+                        order += 1
+                        pc = next_pc
+                        continue
+                self.pc = pc
+                replays += 1
+                if bus is None:
+                    halted, reason = self.retire_one(order, sink)
+                else:
+                    bus.deferred = False
+                    try:
+                        halted, reason = self.retire_one(order, sink)
+                    finally:
+                        bus.deferred = True
+                    fire_at = soc.fire_index(self.csr)
+                order += 1
+                pc = self.pc
+                if halted:
+                    break
+            self.pc = pc
+        finally:
+            if bus is not None:
+                bus.deferred = False
+            active = _obs._ACTIVE
+            if active is not None:
+                active.counters["golden.replays"] += replays
+        return order, halted, reason
 
     # ----------------------------------------------------------- fast path
 
@@ -449,22 +566,32 @@ class GoldenSim:
         return effects.next_pc
 
     def _run_recorded(self, max_instructions: int) -> RunResult:
-        """Trace-recording loop over :meth:`retire_one` into a columnar
-        :class:`RvfiTrace` (one row append per retirement, no records)."""
-        trace = RvfiTrace(capacity=self._trace_capacity)
+        """Trace-recording loop over :meth:`retire_chunk` into a columnar
+        :class:`RvfiTrace`.  A ring trace (``trace_capacity``) takes each
+        chunk from an unbounded chunk trace."""
+        capacity = self._trace_capacity
+        trace = RvfiTrace(capacity=capacity)
         count = 0
-        halted_by = "limit"
-        while count < max_instructions:
-            halted, reason = self.retire_one(count, trace)
-            count += 1
-            if halted:
-                halted_by = reason
-                break
+        halted, reason = False, ""
+        while count < max_instructions and not halted:
+            if capacity is None:
+                count, halted, reason = self.retire_chunk(
+                    count, max_instructions, trace)
+            else:
+                chunk = RvfiTrace()
+                count, halted, reason = self.retire_chunk(
+                    count, min(count + _RING_CHUNK, max_instructions),
+                    chunk)
+                trace.extend(chunk)
+        halted_by = reason if halted else "limit"
         exit_code = self._poweroff_code if halted_by == "poweroff" \
             else self.read_reg(10)
         return RunResult(exit_code=exit_code, instructions=count,
                          cycles=count, halted_by=halted_by, trace=trace)
 
+
+#: Rows per chunk trace when recording into a ring trace.
+_RING_CHUNK = 4096
 
 #: Sentinel return address holding an ``ecall``; ``ret`` from main halts here.
 _HALT_SENTINEL = 0x0000_FFF0

@@ -69,7 +69,9 @@ class RvfiTrace:
 
     With ``capacity=N`` the trace keeps only the newest N retirements
     (index 0 is the oldest *retained* row); ``total_appended`` still counts
-    every retirement ever recorded.
+    every retirement ever recorded.  An unbounded trace's length is its
+    column length, so a bulk producer may write rows straight through
+    :meth:`appenders`.
     """
 
     #: Field order shared by :meth:`append_row`, :meth:`row` and
@@ -79,13 +81,13 @@ class RvfiTrace:
               "mem_addr", "mem_rmask", "mem_wmask", "mem_rdata",
               "mem_wdata", "trap", "intr")
 
-    __slots__ = ("capacity", "total_appended", "_columns", "_appenders")
+    __slots__ = ("capacity", "_ring_appended", "_columns", "_appenders")
 
     def __init__(self, capacity: int | None = None):
         if capacity is not None and capacity <= 0:
             raise ValueError("ring capacity must be positive")
         self.capacity = capacity
-        self.total_appended = 0
+        self._ring_appended = 0
         if capacity is None:
             self._columns = tuple([] for _ in self.FIELDS)
             self._appenders = tuple(column.append
@@ -128,10 +130,25 @@ class RvfiTrace:
                       rs1_rdata, rs2_rdata, rd_addr, rd_wdata, mem_addr,
                       mem_rmask, mem_wmask, mem_rdata, mem_wdata, trap,
                       intr)
-            slot = self.total_appended % self.capacity
+            slot = self._ring_appended % self.capacity
             for column, value in zip(self._columns, values):
                 column[slot] = value
-        self.total_appended += 1
+            self._ring_appended += 1
+
+    @property
+    def total_appended(self) -> int:
+        """Every retirement ever recorded (a ring's overwritten rows too)."""
+        if self.capacity is None:
+            return len(self._columns[0])
+        return self._ring_appended
+
+    def appenders(self) -> tuple:
+        """The pre-bound ``list.append`` of every column, in ``FIELDS``
+        order, of an unbounded trace.  A producer that appends one value
+        to each of them records one row."""
+        if self._appenders is None:
+            raise ValueError("a ring trace has no column appenders")
+        return self._appenders
 
     def extend(self, other: "RvfiTrace", stop: int | None = None) -> None:
         """Append ``other``'s retained rows (the first ``stop`` of them
@@ -141,7 +158,6 @@ class RvfiTrace:
         if self.capacity is None and other.capacity is None:
             for column, source in zip(self._columns, other._columns):
                 column.extend(islice(source, count))
-            self.total_appended += count
         else:
             for row in islice(other.rows(), count):
                 self.append_row(*row)
@@ -156,9 +172,9 @@ class RvfiTrace:
             index += length
         if not 0 <= index < length:
             raise IndexError("trace index out of range")
-        if self.capacity is None or self.total_appended <= self.capacity:
+        if self.capacity is None or self._ring_appended <= self.capacity:
             return index
-        return (self.total_appended + index) % self.capacity
+        return (self._ring_appended + index) % self.capacity
 
     def row(self, index: int) -> tuple[int, ...]:
         """All 17 fields of one retirement as a tuple (``FIELDS`` order)."""
@@ -191,8 +207,8 @@ class RvfiTrace:
 
     def __len__(self) -> int:
         if self.capacity is None:
-            return self.total_appended
-        return min(self.total_appended, self.capacity)
+            return len(self._columns[0])
+        return min(self._ring_appended, self.capacity)
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -13,14 +13,14 @@ Two deliberate hard edges:
 * **No execution from MMIO**: :meth:`SocBus.fetch` refuses device
   addresses, so the decoded-op cache can never capture (and stale-cache) a
   volatile device read as an instruction — it raises instead.
-* **Deferred mode** (:attr:`SocBus.deferred`): the ISS fast path flips
-  this on around its compiled-executor loop.  Any MMIO access then raises
-  :class:`MmioDeferred` *before* performing side effects; the loop catches
-  it and retires that one instruction through the reflective slow path
-  with the SoC clock synced.  Device reads therefore always observe exact
-  time and device writes (e.g. re-arming ``mtimecmp``) take effect before
-  the next retirement, while the hot loop itself stays free of device
-  bookkeeping.
+* **Deferred mode** (:attr:`SocBus.deferred`): the ISS fast path and its
+  chunk recorder flip this on around their compiled-executor loops.  Any
+  MMIO access then raises :class:`MmioDeferred` *before* performing side
+  effects; the loop catches it and retires that one instruction through
+  the reflective slow path with the SoC clock synced.  Device reads
+  therefore always observe exact time and device writes (e.g. re-arming
+  ``mtimecmp``) take effect before the next retirement, while the hot loop
+  itself stays free of device bookkeeping.
 """
 
 from __future__ import annotations

@@ -160,6 +160,19 @@ def test_cosim_chunk_counters(full_core, monkeypatch):
     assert telemetry.counters["cosim.row_fallbacks"] == 1
 
 
+def test_golden_replay_counter(full_core):
+    """A clean soc-less cosim of a straight-line program records every
+    golden row on the decoded executors except the halting ecall."""
+    from repro.rtl import core_sim
+
+    program = assemble(".text\nmain:\n    li a0, 7\n    addi a1, a0, 1\n"
+                       "    sw a1, 0(sp)\n    lw a2, 0(sp)\n    ret\n")
+    with obs.session() as telemetry:
+        assert core_sim.cosimulate(full_core, program,
+                                   backend="fused") is None
+    assert telemetry.counters["golden.replays"] == 1
+
+
 def test_compile_cache_counters(halt_program):
     from repro.rtl.compiled import compile_core
 

@@ -408,10 +408,12 @@ def _corrupt_rtl_row(patch, target, field):
 
 def _patch_golden(patch, target, outcome):
     """Make the golden reference's retirement ``target`` report
-    ``outcome`` (a halt flag) or raise it (an exception)."""
+    ``outcome`` (a halt flag) or raise it (an exception) — on the
+    per-cycle walk's ``retire_one`` and on the fused path's
+    ``retire_chunk`` alike."""
     from repro.sim.golden import GoldenSim
 
-    retire_one = GoldenSim.retire_one
+    retire_one, retire_chunk = GoldenSim.retire_one, GoldenSim.retire_chunk
 
     def patched(self, order, sink=None):
         if order == target and isinstance(outcome, Exception):
@@ -421,7 +423,21 @@ def _patch_golden(patch, target, outcome):
             return outcome, "ecall" if outcome else ""
         return halted, reason
 
+    def patched_chunk(self, order, stop, sink):
+        if not order <= target < stop:
+            return retire_chunk(self, order, stop, sink)
+        order, halted, reason = retire_chunk(self, order, target, sink)
+        if halted:
+            return order, halted, reason
+        if isinstance(outcome, Exception):
+            raise outcome
+        order, _, _ = retire_chunk(self, target, target + 1, sink)
+        if outcome:
+            return order, True, "ecall"
+        return retire_chunk(self, order, stop, sink)
+
     patch.setattr(GoldenSim, "retire_one", patched)
+    patch.setattr(GoldenSim, "retire_chunk", patched_chunk)
 
 
 @pytest.mark.parametrize("field", COSIM_FIELDS)
