@@ -2,7 +2,7 @@
 
 from .lower import LoweredDesign, lower_module
 from .netlist import Gate, GateType, Netlist, sweep_dead
-from .netsim import NetSim, eval_words, topo_gates
+from .netsim import NetSim, eval_words
 from .optimize import MappedStats, fanout_counts, mapped_stats
 from .power import FF_ENERGY_FACTOR, PowerBreakdown, power_at, switching_units
 from .report import AreaStats, SynthReport, area_stats, synthesize
@@ -17,5 +17,5 @@ __all__ = [
     "TechLib", "TimingReport", "analyze_timing", "area_stats",
     "critical_path_units", "design_jitter", "eval_words", "fanout_counts",
     "lower_module", "mapped_stats", "power_at", "sweep_dead", "switching_units",
-    "synthesize", "synthesize_serv", "topo_gates",
+    "synthesize", "synthesize_serv",
 ]

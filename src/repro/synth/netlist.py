@@ -14,12 +14,20 @@ the constructor API:
 
 A third pass, dead-gate elimination, runs after construction
 (:func:`sweep_dead`).
+
+**Node-id order is a topological order.**  Every node id is assigned after
+its inputs exist, and the only edge added later is a DFF's data input
+(:meth:`Netlist.connect_dff`) — and a DFF output is a timing and
+simulation source.  ``netlist.gates`` is kept in id order (its insertion
+order; sweeping and mutating gates in place preserve it), so walking it
+front to back visits every combinational gate after all of its inputs.
+Timing, simulation and mapping rely on this instead of sorting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class GateType(Enum):
@@ -33,15 +41,31 @@ class GateType(Enum):
     DFF = "dff"     # input: (d,); state element
     INPUT = "input"
 
+    # Enum's default hash is a Python-level method over the member name.
+    # Members are singletons compared by identity, so identity hashing is
+    # equivalent and keeps per-kind table lookups at C speed.
+    __hash__ = object.__hash__
 
-_COMMUTATIVE = {GateType.AND2, GateType.OR2, GateType.XOR2}
+
+#: The kinds that become cells (everything but constants and inputs).
+_CELL_KINDS = (GateType.NOT, GateType.AND2, GateType.OR2, GateType.XOR2,
+              GateType.MUX2, GateType.DFF)
+
+# Structural-hash opcodes: strash keys are flat ``(opcode, *inputs)`` ints.
+_NOT, _AND2, _OR2, _XOR2, _MUX2 = range(5)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: GateType
     inputs: tuple[int, ...]
     name: str = ""   # populated for INPUT and DFF nodes
+
+
+def kind_counts(kinds: list[GateType]) -> dict[GateType, int]:
+    """Population of each cell kind in ``kinds``, in first-seen order."""
+    present = sorted((kind for kind in _CELL_KINDS if kind in kinds),
+                     key=kinds.index)
+    return {kind: kinds.count(kind) for kind in present}
 
 
 class Netlist:
@@ -50,7 +74,7 @@ class Netlist:
     def __init__(self):
         self.gates: dict[int, Gate] = {}
         self.outputs: dict[str, int] = {}
-        self._strash: dict[tuple, int] = {}
+        self._strash: dict[tuple[int, ...], int] = {}
         self._next_id = 0
         self.zero = self._raw(Gate(GateType.CONST0, ()))
         self.one = self._raw(Gate(GateType.CONST1, ()))
@@ -81,89 +105,98 @@ class Netlist:
     def set_output(self, name: str, node: int) -> None:
         self.outputs[name] = node
 
-    def is_const(self, node: int) -> bool:
-        return self.gates[node].kind in (GateType.CONST0, GateType.CONST1)
-
-    def const_value(self, node: int) -> int:
-        return 1 if self.gates[node].kind is GateType.CONST1 else 0
-
     # ----------------------------------------------------- logic constructors
+    #
+    # The constants are the ``zero``/``one`` nodes made in ``__init__``, so
+    # folding tests node identity rather than looking up gate kinds.
 
     def g_not(self, a: int) -> int:
-        gate = self.gates[a]
-        if gate.kind is GateType.CONST0:
+        if a == self.zero:
             return self.one
-        if gate.kind is GateType.CONST1:
+        if a == self.one:
             return self.zero
+        gate = self.gates[a]
         if gate.kind is GateType.NOT:   # double negation
             return gate.inputs[0]
-        return self._hashed(GateType.NOT, (a,))
+        return self._hashed(_NOT, GateType.NOT, a)
 
     def g_and(self, a: int, b: int) -> int:
         if a == b:
             return a
-        for x, y in ((a, b), (b, a)):
-            if self.gates[x].kind is GateType.CONST0:
-                return self.zero
-            if self.gates[x].kind is GateType.CONST1:
-                return y
+        zero, one = self.zero, self.one
+        if a == zero or b == zero:
+            return zero
+        if a == one:
+            return b
+        if b == one:
+            return a
         if self._complementary(a, b):
-            return self.zero
-        return self._hashed(GateType.AND2, (a, b))
+            return zero
+        if b < a:
+            a, b = b, a
+        return self._hashed(_AND2, GateType.AND2, a, b)
 
     def g_or(self, a: int, b: int) -> int:
         if a == b:
             return a
-        for x, y in ((a, b), (b, a)):
-            if self.gates[x].kind is GateType.CONST1:
-                return self.one
-            if self.gates[x].kind is GateType.CONST0:
-                return y
+        zero, one = self.zero, self.one
+        if a == one or b == one:
+            return one
+        if a == zero:
+            return b
+        if b == zero:
+            return a
         if self._complementary(a, b):
-            return self.one
-        return self._hashed(GateType.OR2, (a, b))
+            return one
+        if b < a:
+            a, b = b, a
+        return self._hashed(_OR2, GateType.OR2, a, b)
 
     def g_xor(self, a: int, b: int) -> int:
         if a == b:
             return self.zero
-        for x, y in ((a, b), (b, a)):
-            if self.gates[x].kind is GateType.CONST0:
-                return y
-            if self.gates[x].kind is GateType.CONST1:
-                return self.g_not(y)
+        zero, one = self.zero, self.one
+        if a == zero:
+            return b
+        if a == one:
+            return self.g_not(b)
+        if b == zero:
+            return a
+        if b == one:
+            return self.g_not(a)
         if self._complementary(a, b):
-            return self.one
-        return self._hashed(GateType.XOR2, (a, b))
+            return one
+        if b < a:
+            a, b = b, a
+        return self._hashed(_XOR2, GateType.XOR2, a, b)
 
     def g_mux(self, sel: int, a: int, b: int) -> int:
         """``sel ? a : b``."""
         if a == b:
             return a
-        kind = self.gates[sel].kind
-        if kind is GateType.CONST1:
+        zero, one = self.zero, self.one
+        if sel == one:
             return a
-        if kind is GateType.CONST0:
+        if sel == zero:
             return b
-        if self.is_const(a) and self.is_const(b):
-            # arms are 1/0 or 0/1 (a == b handled above)
-            return sel if self.const_value(a) else self.g_not(sel)
-        if self.is_const(a):
-            return (self.g_or(sel, b) if self.const_value(a)
+        if a == one:
+            return sel if b == zero else self.g_or(sel, b)
+        if a == zero:
+            return (self.g_not(sel) if b == one
                     else self.g_and(self.g_not(sel), b))
-        if self.is_const(b):
-            return (self.g_or(self.g_not(sel), a) if self.const_value(b)
-                    else self.g_and(sel, a))
-        return self._hashed(GateType.MUX2, (sel, a, b))
+        if b == one:
+            return self.g_or(self.g_not(sel), a)
+        if b == zero:
+            return self.g_and(sel, a)
+        return self._hashed(_MUX2, GateType.MUX2, sel, a, b)
 
     def _complementary(self, a: int, b: int) -> bool:
         ga, gb = self.gates[a], self.gates[b]
         return ((ga.kind is GateType.NOT and ga.inputs[0] == b)
                 or (gb.kind is GateType.NOT and gb.inputs[0] == a))
 
-    def _hashed(self, kind: GateType, inputs: tuple[int, ...]) -> int:
-        if kind in _COMMUTATIVE:
-            inputs = tuple(sorted(inputs))
-        key = (kind, inputs)
+    def _hashed(self, opcode: int, kind: GateType, *inputs: int) -> int:
+        key = (opcode, *inputs)
         node = self._strash.get(key)
         if node is None:
             node = self._raw(Gate(kind, inputs))
@@ -174,12 +207,7 @@ class Netlist:
 
     def counts(self) -> dict[GateType, int]:
         """Gate population by type (excluding constants and inputs)."""
-        out: dict[GateType, int] = {}
-        for gate in self.gates.values():
-            if gate.kind in (GateType.CONST0, GateType.CONST1, GateType.INPUT):
-                continue
-            out[gate.kind] = out.get(gate.kind, 0) + 1
-        return out
+        return kind_counts([gate.kind for gate in self.gates.values()])
 
     def num_dffs(self) -> int:
         return sum(1 for g in self.gates.values()
@@ -187,41 +215,25 @@ class Netlist:
 
 
 def sweep_dead(netlist: Netlist) -> Netlist:
-    """Dead-gate elimination: keep only logic reachable from outputs/DFFs.
+    """Dead-gate elimination: keep only logic reachable from the outputs.
 
-    Returns a new compacted netlist-view (same object, gates dict pruned) —
+    One DFS from the primary outputs; a live DFF's data input is an
+    ordinary fanin edge, so the state cones that feed live logic are
+    pulled in by the same walk.  The constants always stay.  Prunes
+    ``netlist.gates`` in place (id order is kept) and returns the netlist —
     the unused-instruction logic the RISSP philosophy removes shows up here
     as a concrete gate-count drop.
     """
-    live: set[int] = set()
+    gates = netlist.gates
+    live = {netlist.zero, netlist.one}
     stack = list(netlist.outputs.values())
-    # DFFs are roots too only if they themselves are live; iterate to fixpoint
-    # starting from outputs, pulling in DFF d-cones on demand.
     while stack:
         node = stack.pop()
-        if node in live:
-            continue
-        live.add(node)
-        gate = netlist.gates[node]
-        stack.extend(gate.inputs)
-    changed = True
-    while changed:
-        changed = False
-        for node, gate in list(netlist.gates.items()):
-            if gate.kind is GateType.DFF and node in live:
-                for dep in gate.inputs:
-                    if dep not in live:
-                        stack = [dep]
-                        while stack:
-                            inner = stack.pop()
-                            if inner in live:
-                                continue
-                            live.add(inner)
-                            stack.extend(netlist.gates[inner].inputs)
-                        changed = True
-    netlist.gates = {node: gate for node, gate in netlist.gates.items()
-                     if node in live
-                     or gate.kind in (GateType.CONST0, GateType.CONST1)}
+        if node not in live:
+            live.add(node)
+            stack.extend(gates[node].inputs)
+    netlist.gates = {node: gate for node, gate in gates.items()
+                     if node in live}
     netlist.dff_init = {node: init for node, init in netlist.dff_init.items()
-                        if node in netlist.gates}
+                        if node in live}
     return netlist

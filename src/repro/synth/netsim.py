@@ -4,45 +4,17 @@ Used for synthesis-equivalence checking (word-level RTL evaluation vs the
 lowered gates — the paper's synthesis tool performs the same check via
 equivalence checking) and as the execution engine for the MCY-analog
 mutation coverage measurement.
+
+There is no topological sort: gates are evaluated in node-id order, which
+the netlist guarantees is a topological order of the combinational logic
+(see :mod:`repro.synth.netlist`).  ``netlist.gates`` is read afresh on every
+evaluation, so one :class:`NetSim` sees single-gate mutations swapped in
+and out of the netlist in place.
 """
 
 from __future__ import annotations
 
-from .netlist import Gate, GateType, Netlist
-
-
-def topo_gates(netlist: Netlist) -> list[int]:
-    """Topological order of combinational gates (sources first)."""
-    order: list[int] = []
-    state: dict[int, int] = {}
-
-    sources = (GateType.CONST0, GateType.CONST1, GateType.INPUT, GateType.DFF)
-    dff_nodes = [n for n, g in netlist.gates.items()
-                 if g.kind is GateType.DFF]
-    # DFF outputs are sources, but their *data-input cones* are
-    # combinational logic that must be scheduled too.
-    dff_fanin = [g.inputs[0] for n, g in netlist.gates.items()
-                 if g.kind is GateType.DFF]
-    for root in list(netlist.outputs.values()) + dff_nodes + dff_fanin:
-        stack = [(root, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                state[node] = 2
-                order.append(node)
-                continue
-            mark = state.get(node, 0)
-            if mark:
-                continue
-            state[node] = 1
-            gate = netlist.gates[node]
-            stack.append((node, True))
-            if gate.kind in sources:
-                continue
-            for dep in gate.inputs:
-                if state.get(dep, 0) == 0:
-                    stack.append((dep, False))
-    return order
+from .netlist import GateType, Netlist
 
 
 class NetSim:
@@ -50,7 +22,6 @@ class NetSim:
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
-        self._order = topo_gates(netlist)
         self.values: dict[int, int] = {}
         self.dff_state: dict[int, int] = dict(netlist.dff_init)
 
@@ -58,29 +29,26 @@ class NetSim:
         """Evaluate with named input bits; returns named output bits."""
         values = self.values
         values.clear()
-        gates = self.netlist.gates
-        for node in self._order:
-            gate = gates[node]
-            kind = gate.kind
-            if kind is GateType.CONST0:
+        for node, (kind, ins, name) in self.netlist.gates.items():
+            if kind is GateType.AND2:
+                values[node] = values[ins[0]] & values[ins[1]]
+            elif kind is GateType.OR2:
+                values[node] = values[ins[0]] | values[ins[1]]
+            elif kind is GateType.XOR2:
+                values[node] = values[ins[0]] ^ values[ins[1]]
+            elif kind is GateType.NOT:
+                values[node] = 1 - values[ins[0]]
+            elif kind is GateType.MUX2:
+                sel, a, b = ins
+                values[node] = values[a] if values[sel] else values[b]
+            elif kind is GateType.INPUT:
+                values[node] = inputs.get(name, 0) & 1
+            elif kind is GateType.DFF:
+                values[node] = self.dff_state.get(node, 0)
+            elif kind is GateType.CONST0:
                 values[node] = 0
             elif kind is GateType.CONST1:
                 values[node] = 1
-            elif kind is GateType.INPUT:
-                values[node] = inputs.get(gate.name, 0) & 1
-            elif kind is GateType.DFF:
-                values[node] = self.dff_state.get(node, 0)
-            elif kind is GateType.NOT:
-                values[node] = 1 - values[gate.inputs[0]]
-            elif kind is GateType.AND2:
-                values[node] = values[gate.inputs[0]] & values[gate.inputs[1]]
-            elif kind is GateType.OR2:
-                values[node] = values[gate.inputs[0]] | values[gate.inputs[1]]
-            elif kind is GateType.XOR2:
-                values[node] = values[gate.inputs[0]] ^ values[gate.inputs[1]]
-            elif kind is GateType.MUX2:
-                sel, a, b = gate.inputs
-                values[node] = values[a] if values[sel] else values[b]
             else:  # pragma: no cover
                 raise ValueError(f"cannot simulate {kind}")
         return {name: values[node]

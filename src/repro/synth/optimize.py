@@ -17,17 +17,17 @@ Rules (classic standard-cell identities, applied over single-fanout fanins):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
-from .netlist import GateType, Netlist
+from .netlist import GateType, Netlist, kind_counts
 from .techlib import TechLib
 
 _AO22_AREA = 2.5
 _AO21_AREA = 1.8
 _NAND2_AREA = 1.0
 _NOR2_AREA = 1.0
-
-_SOURCES = (GateType.CONST0, GateType.CONST1, GateType.INPUT)
 
 
 @dataclass
@@ -42,14 +42,11 @@ class MappedStats:
         self.cell_counts[name] = self.cell_counts.get(name, 0) + count
 
 
-def fanout_counts(netlist: Netlist) -> dict[int, int]:
+def fanout_counts(netlist: Netlist) -> Counter[int]:
     """Fanout per node, counting primary outputs and DFF data pins."""
-    fanout: dict[int, int] = {}
-    for gate in netlist.gates.values():
-        for dep in gate.inputs:
-            fanout[dep] = fanout.get(dep, 0) + 1
-    for node in netlist.outputs.values():
-        fanout[node] = fanout.get(node, 0) + 1
+    fanout = Counter(chain.from_iterable(
+        gate.inputs for gate in netlist.gates.values()))
+    fanout.update(netlist.outputs.values())
     return fanout
 
 
@@ -63,7 +60,7 @@ def mapped_stats(netlist: Netlist, lib: TechLib) -> MappedStats:
     def is_abs_candidate(node: int, kind: GateType) -> bool:
         gate = gates.get(node)
         return (gate is not None and gate.kind is kind
-                and fanout.get(node, 0) == 1 and node not in absorbed)
+                and fanout[node] == 1 and node not in absorbed)
 
     # Walk ORs first so AO absorption wins over NAND/NOR folding.
     for node, gate in gates.items():
@@ -94,12 +91,16 @@ def mapped_stats(netlist: Netlist, lib: TechLib) -> MappedStats:
             stats.comb_area_ge += _NOR2_AREA
             stats._bump("NOR2")
 
-    for node, gate in gates.items():
-        if node in absorbed or gate.kind in _SOURCES:
-            continue
-        if gate.kind is GateType.DFF:
-            stats.dff_count += 1
-            continue
-        stats.comb_area_ge += lib.cell(gate.kind).area_ge
-        stats._bump(gate.kind.value.upper())
+    # The remaining primitives map one-to-one (constants and inputs have no
+    # fanin and no cell).  Area accumulates gate by gate in id order, so the
+    # float sum is reproducible bit for bit.
+    area = {kind: cell.area_ge for kind, cell in lib.cells.items()}
+    dff = GateType.DFF
+    kept = [gate.kind for node, gate in gates.items()
+            if node not in absorbed and gate.inputs and gate.kind is not dff]
+    for kind in kept:
+        stats.comb_area_ge += area[kind]
+    for kind, count in kind_counts(kept).items():
+        stats._bump(kind.value.upper(), count)
+    stats.dff_count = sum(1 for gate in gates.values() if gate.kind is dff)
     return stats

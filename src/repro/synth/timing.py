@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .netlist import GateType, Netlist
-from .netsim import topo_gates
 from .techlib import DFF_SETUP_UNITS, TechLib, design_jitter
 
 SWEEP_START_KHZ = 100
@@ -31,27 +30,40 @@ class TimingReport:
 
 
 def critical_path_units(netlist: Netlist, lib: TechLib) -> float:
-    """Longest arrival time in delay units (DFF clk->q counted at source)."""
+    """Longest arrival time in delay units (DFF clk->q counted at source).
+
+    Walks ``netlist.gates`` in node-id order, which is a topological order
+    of the combinational logic: every node id is assigned after its inputs
+    exist, and the only edge added later, a DFF's data input, ends at a
+    timing source.  A gate that reads a node with no arrival yet breaks
+    that invariant and raises ``ValueError`` instead of timing a wrong path.
+    """
+    delay = {kind: cell.delay_units for kind, cell in lib.cells.items()}
+    dff = GateType.DFF
+    clk_to_q = delay[dff]
     arrival: dict[int, float] = {}
+    arrival_of = arrival.__getitem__
     worst = 0.0
-    for node in topo_gates(netlist):
-        gate = netlist.gates[node]
-        kind = gate.kind
-        if kind in (GateType.CONST0, GateType.CONST1, GateType.INPUT):
+    for node, (kind, inputs, _) in netlist.gates.items():
+        if kind is dff:
+            arrival[node] = clk_to_q
+            continue
+        if not inputs:   # constants and primary inputs
             arrival[node] = 0.0
             continue
-        if kind is GateType.DFF:
-            arrival[node] = lib.cell(GateType.DFF).delay_units
-            continue
-        here = max((arrival.get(dep, 0.0) for dep in gate.inputs),
-                   default=0.0) + lib.cell(kind).delay_units
+        try:
+            latest = max(map(arrival_of, inputs))
+        except KeyError as exc:
+            raise ValueError(f"node {node} reads node {exc.args[0]}, which "
+                             f"is not defined before it in id order") from None
+        here = latest + delay[kind]
         arrival[node] = here
         if here > worst:
             worst = here
     # Paths ending in a DFF pay setup.
-    for node, gate in netlist.gates.items():
-        if gate.kind is GateType.DFF:
-            end = arrival.get(gate.inputs[0], 0.0) + DFF_SETUP_UNITS
+    for kind, inputs, _ in netlist.gates.values():
+        if kind is dff:
+            end = arrival[inputs[0]] + DFF_SETUP_UNITS
             if end > worst:
                 worst = end
     return worst

@@ -269,10 +269,8 @@ def _vector_inputs(block: Module, vector: TestVector) -> dict[str, int]:
     return bits
 
 
-def _outputs_for(netlist: Netlist, inputs: dict[str, int]) -> tuple:
-    sim = NetSim(netlist)
-    out = sim.eval_comb(inputs)
-    return tuple(sorted(out.items()))
+def _outputs_for(sim: NetSim, inputs: dict[str, int]) -> tuple:
+    return tuple(sorted(sim.eval_comb(inputs).items()))
 
 
 def run_mutation_campaign(block: Module,
@@ -285,7 +283,11 @@ def run_mutation_campaign(block: Module,
     netlist = design.netlist
     vectors = vectors_for(mnemonic)
     probes = [_vector_inputs(block, v) for v in vectors]
-    golden = [_outputs_for(netlist, p) for p in probes]
+    # One simulator serves every mutant: it walks the live gate table in
+    # id order, and a single-gate mutation keeps that order topological
+    # (flips and arm swaps keep the inputs, stuck-at faults drop them).
+    sim = NetSim(netlist)
+    golden = [_outputs_for(sim, p) for p in probes]
 
     report = MutationReport(mnemonic=mnemonic)
     mutations = enumerate_mutations(netlist, limit=limit)
@@ -297,7 +299,7 @@ def run_mutation_campaign(block: Module,
             killed = False
             distinguishable = False
             for probe, want in zip(probes, golden):
-                got = _outputs_for(netlist, probe)
+                got = _outputs_for(sim, probe)
                 if got != want:
                     distinguishable = True
                     killed = True   # the testbench compares these outputs
