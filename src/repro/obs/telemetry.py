@@ -42,8 +42,9 @@ Counter taxonomy (see README for the narrative):
     batched fleet): hit/miss per ``compile_*`` call.
 ``fleet.*``
     Batched-fleet lane lifecycle: passes, in-batch halts, and lane
-    divergences classified by cause (fetch, emulated, mret, rv32e_bound,
-    illegal, trap, load_oob, store_oob, other).
+    divergences by the cause ``run_fleet`` returns per lane (fetch,
+    emulated, mret, rv32e_bound, illegal, trap, load_oob, store_oob,
+    other = malformed store strobe).
 ``cosim.*``
     Chunked fused cosimulation (:func:`repro.rtl.core_sim.cosimulate`):
     chunks compared column by column, and the chunks among them that

@@ -47,6 +47,12 @@ state; combinational ``env`` entries are re-settled by the harness from
 that flushed state (probes should drive
 ``set_inputs``/``eval_comb``, as the state tests do).
 
+:func:`compile_fleet` generates the batched ``run_fleet`` loop (PR 7)
+from the same emitter, :func:`_generate_loop_source`, and the same
+analysis :func:`compile_core` kept: one cycle body, whose only parameter
+is the slow-path policy (call back into Python, or stop the lane and
+record the cause).
+
 Compiled functions are cached per :class:`Module` object, keyed by a
 structural fingerprint so mutating a module's assigns (as the failure
 -injection tests do) transparently recompiles.
@@ -519,28 +525,36 @@ _cache: "weakref.WeakKeyDictionary[Module, tuple[int, CompiledModule]]" = \
     weakref.WeakKeyDictionary()
 
 
-def compile_module(module: Module) -> CompiledModule:
-    """Compile (or fetch the cached compilation of) ``module``.
+def _cached(cache, tier: str, module: Module, build):
+    """Fetch ``module``'s compilation from ``cache`` or ``build()`` it.
 
-    The cache is keyed on the module object *and* a structural fingerprint,
-    so rebuilding an :class:`RtlSim` after mutating ``module.assigns``
-    (failure-injection style) recompiles instead of running stale code.
+    Every compile cache is keyed on the module object *and* a structural
+    fingerprint, so rebuilding a simulator after mutating
+    ``module.assigns`` (failure-injection style) recompiles instead of
+    running stale code; ``tier`` names the ``compile_cache.*`` counters.
     """
     key = _fingerprint(module)
-    hit = _cache.get(module)
+    hit = cache.get(module)
     if hit is not None and hit[0] == key:
         if _obs._ACTIVE is not None:
-            _obs._ACTIVE.counters["compile_cache.module.hit"] += 1
+            _obs._ACTIVE.counters[f"compile_cache.{tier}.hit"] += 1
         return hit[1]
     if _obs._ACTIVE is not None:
-        _obs._ACTIVE.counters["compile_cache.module.miss"] += 1
-    source = _generate_source(module)
-    namespace: dict[str, object] = {}
-    exec(compile(source, f"<rtl:{module.name}>", "exec"), namespace)
-    compiled = CompiledModule(eval_comb=namespace["eval_comb"],
-                              tick=namespace["tick"], source=source)
-    _cache[module] = (key, compiled)
+        _obs._ACTIVE.counters[f"compile_cache.{tier}.miss"] += 1
+    compiled = build()
+    cache[module] = (key, compiled)
     return compiled
+
+
+def compile_module(module: Module) -> CompiledModule:
+    """Compile (or fetch the cached compilation of) ``module``."""
+    def build() -> CompiledModule:
+        source = _generate_source(module)
+        namespace: dict[str, object] = {}
+        exec(compile(source, f"<rtl:{module.name}>", "exec"), namespace)
+        return CompiledModule(eval_comb=namespace["eval_comb"],
+                              tick=namespace["tick"], source=source)
+    return _cached(_cache, "module", module, build)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +582,9 @@ class CompiledCore:
     #: the per-word decode cache (``_DCACHE``/``decode_comb``) out of it so
     #: the batched loop and the per-instance loop share one decode memo.
     namespace: dict = None
+    #: The dataflow analysis the loop was emitted from; :func:`compile_fleet`
+    #: emits the batched loop from it instead of analysing the core again.
+    analysis: "_CoreAnalysis" = None
 
 
 def core_fusable(module: Module, facts=None) -> bool:
@@ -613,21 +630,6 @@ def core_fusable(module: Module, facts=None) -> bool:
     return True
 
 
-def _seed_storage(emitter: _Emitter, module: Module) -> None:
-    """Make register-file storage wires read ``regfile`` lazily in place.
-
-    Pre-seeding the emitter cache with an indexing expression (instead of
-    loading all ``num_regs - 1`` storage wires into locals each cycle)
-    keeps the read-mux trees lazy: a nested conditional expression only
-    evaluates the one leaf the address selects, so a cycle touches two
-    register-file slots, not thirty."""
-    spec = module.regfile
-    mask = _mask(spec.width)
-    for index, name in enumerate(spec.storage_signals, start=1):
-        sig = Sig(name, module.signal_width(name))
-        emitter.cache[sig] = f"(regfile[{index}] & {mask})"
-
-
 #: The fused loop keeps lazily-evaluated conditional expressions intact
 #: instead of hoisting long code into (eagerly evaluated) temps; CPython
 #: compiles the resulting statements fine well past this bound.
@@ -635,10 +637,20 @@ _FUSED_MAX_INLINE = 1 << 20
 
 
 def _core_emitter(lines: list[str], indent: str, roots: list[Expr],
-                  sig_var, temp_prefix: str, module: Module) -> _Emitter:
-    emitter = _Emitter(lines, indent, _count_refs(roots), sig_var,
+                  temp_prefix: str, a: "_CoreAnalysis") -> _Emitter:
+    """A fused-loop emitter whose register-file storage wires read
+    ``regfile`` lazily in place.
+
+    Pre-seeding the emitter cache with an indexing expression (instead of
+    loading all ``num_regs - 1`` storage wires into locals each cycle)
+    keeps the read-mux trees lazy: a nested conditional expression only
+    evaluates the one leaf the address selects, so a cycle touches two
+    register-file slots, not thirty."""
+    emitter = _Emitter(lines, indent, _count_refs(roots), a.sig_var,
                        temp_prefix, max_inline=_FUSED_MAX_INLINE)
-    _seed_storage(emitter, module)
+    mask = _mask(a.spec.width)
+    for index, sig in enumerate(a.storage, start=1):
+        emitter.cache[sig] = f"(regfile[{index}] & {mask})"
     return emitter
 
 
@@ -659,20 +671,20 @@ def _substitute_memo(expr: Expr, mapping: dict[str, Expr],
 
 @dataclass
 class _CoreAnalysis:
-    """Dataflow analysis shared by the fused-loop generators.
-
-    Everything :func:`_generate_core_source` (one instance per call) and
-    :func:`_generate_fleet_source` (N instances per pass) need to know
-    about a fusable core's DAG: the needed-set closure, the single-use
+    """Dataflow analysis of a fusable core, the input of
+    :func:`_generate_loop_source`: the needed-set closure, the single-use
     inlining rewrite, the ``dmem_rdata`` dependency cone, the word-only
-    decode extraction and the tick roots.  The analysis is a deterministic
-    function of the module, so the ``decode_out`` tuple layout — the value
-    format of the shared per-word decode cache — is identical across both
-    generators, which is what lets :func:`compile_fleet` graft the fused
-    loop's ``_DCACHE`` dict into the batched loop's namespace.
+    decode extraction and the tick roots.  :func:`compile_core` keeps it
+    on the :class:`CompiledCore` and :func:`compile_fleet` emits from that
+    same object, so the ``decode_out`` layout — the value format of the
+    per-word decode cache — is identical in both loops and they share one
+    ``_DCACHE``.  It holds no reference to the module (the compile caches
+    are weak-keyed on it).
     """
 
-    module: Module
+    spec: object                         # the module's RegFileSpec
+    inputs: list                         # non-memory input ports
+    storage: list                        # register-file storage Sigs
     sig_var: object                      # signal name -> Python local
     trap_core: bool
     registers: list                      # module registers, commit order
@@ -684,11 +696,6 @@ class _CoreAnalysis:
     decode_out: list                     # decode_comb return layout
     tick_next: dict
     tick_enable: dict
-    we_sig: str
-    waddr_sig: str
-    wdata_sig: str
-    rs1_addr_sig: str
-    rs2_addr_sig: str
 
 
 def _analyze_core(module: Module) -> _CoreAnalysis:
@@ -822,85 +829,64 @@ def _analyze_core(module: Module) -> _CoreAnalysis:
     decode_out += [sig.name for sig, _ in synth_order]
 
     return _CoreAnalysis(
-        module=module, sig_var=sig_var, trap_core=trap_core,
+        spec=spec,
+        inputs=[port for port in module.inputs()
+                if port.name not in ("imem_rdata", "dmem_rdata")],
+        storage=[Sig(name, module.signal_width(name))
+                 for name in spec.storage_signals],
+        sig_var=sig_var, trap_core=trap_core,
         registers=registers, effective=effective, cycle_names=cycle_names,
         cone_names=cone_names, decode_names=decode_names,
         synth_order=synth_order, decode_out=decode_out,
-        tick_next=tick_next, tick_enable=tick_enable, we_sig=we_sig,
-        waddr_sig=waddr_sig, wdata_sig=wdata_sig,
-        rs1_addr_sig=rs1_addr_sig, rs2_addr_sig=rs2_addr_sig)
+        tick_next=tick_next, tick_enable=tick_enable)
 
 
-def _generate_core_source(module: Module) -> str:
-    """Generate the fused ``run_cycles`` source for a fusable core.
+#: Divergence cause of each non-hardware word class (see
+#: ``repro.rtl.core_sim._classify_word``), indexed by class.
+_WORD_CLASS_CAUSE = ("", "emulated", "mret", "rv32e_bound")
 
-    The loop mirrors :meth:`repro.rtl.core_sim.RisspSim._cycle` statement
-    for statement — same evaluation order, same error messages, same RVFI
-    row fields — with the per-cycle ``env`` traffic replaced by locals and
-    the full-DAG second evaluation replaced by the ``dmem_rdata``
-    dependency cone.
+
+def _generate_loop_source(a: _CoreAnalysis, batched: bool) -> str:
+    """Generate a fused cycle loop for a fusable core.
+
+    The cycle body (fetch, classify, decode-cache unpack, comb
+    statements, ``dmem_rdata`` cone, store-strobe decode, RVFI ``sink``
+    row, tick) is emitted once; ``batched`` only picks the policy at each
+    slow-path point.  ``batched=False`` emits ``run_cycles(ctx, count,
+    limit, sink)``, which mirrors :meth:`RisspSim._cycle
+    <repro.rtl.core_sim.RisspSim._cycle>` statement for statement (same
+    evaluation order, error messages and RVFI fields) and calls back into
+    Python for slow fetches, illegal/RV32E-bound/emulated words, MMIO,
+    hardware traps, ``mret`` and interrupts.  ``batched=True`` emits
+    ``run_fleet(ctx, lanes, quantum)`` over per-lane arrays (``mems``,
+    ``regfiles``, ``regs`` laid out per :attr:`CompiledFleet.registers`,
+    ``counts``, ``sinks``): at each of those points the lane stops
+    *before* the instruction applies any state (``trap`` only asserts
+    for ecall/ebreak, which never store) and records the cause in
+    ``stop`` — ``fetch``, ``emulated``, ``mret``, ``rv32e_bound``,
+    ``illegal``, ``trap``, ``load_oob``, ``store_oob`` or ``other`` (a
+    malformed strobe).  It returns ``(halted, diverged)`` as ``(lane,
+    reason)`` and ``(lane, cause)`` pairs; the caller re-runs a diverged
+    lane's instruction on the per-instance loop, so its trajectory (error
+    surfaces included) is bit-identical to a single-core run.
     """
-    a = _analyze_core(module)
-    module = a.module
-    spec = module.regfile
+    spec = a.spec
     sig_var = a.sig_var
-    trap_core = a.trap_core
     registers = a.registers
     effective = a.effective
-    cycle_names = a.cycle_names
-    cone_names = a.cone_names
-    decode_names = a.decode_names
-    synth_order = a.synth_order
-    decode_out = a.decode_out
-    tick_next = a.tick_next
-    tick_enable = a.tick_enable
-    we_sig, waddr_sig, wdata_sig = a.we_sig, a.waddr_sig, a.wdata_sig
-    rs1_addr_sig, rs2_addr_sig = a.rs1_addr_sig, a.rs2_addr_sig
-    intr = "intr" if trap_core else "0"
+    we_sig, waddr_sig, wdata_sig = spec.write_port
+    (rs1_addr_sig, _), (rs2_addr_sig, _) = spec.read_ports
+    # Traps, interrupts, emulated words and mret are serviced in place only
+    # by the single-instance loop; the batched loop diverges on all of them.
+    service = a.trap_core and not batched
+    intr = "intr" if service else "0"
 
     lines: list[str] = []
     emit = lines.append
-    if decode_out:
-        emit("_DCACHE = {}")
-        emit("")
-        emit("def decode_comb(w):")
-        emit(f"    {sig_var('imem_rdata')} = w")
-        decode_emitter = _Emitter(
-            lines, "    ",
-            _count_refs([effective[name] for name in decode_names]
-                        + [expr for _, expr in synth_order]),
-            sig_var, "d", max_inline=_FUSED_MAX_INLINE)
-        for name in decode_names:
-            code = decode_emitter.ref(effective[name])
-            emit(f"    {sig_var(name)} = {code}")
-        for sig, expr in synth_order:
-            emit(f"    {sig_var(sig.name)} = {decode_emitter.ref(expr)}")
-        returned = "".join(sig_var(name) + ", " for name in decode_out)
-        emit(f"    return ({returned})")
-        emit("")
-    emit("def run_cycles(ctx, count, limit, sink):")
-    for key, local in (("env", "env"), ("regfile", "regfile"),
-                       ("mem", "mem"), ("ram_size", "ram_size"),
-                       ("fetch", "fetch_slow"), ("load_mmio", "load_mmio"),
-                       ("store_mmio", "store_mmio"),
-                       ("illegal", "retire_illegal"),
-                       ("halt_reason", "halt_reason"),
-                       ("trace_load", "trace_load")):
-        emit(f"    {local} = ctx[{key!r}]")
-    emit("    wclass_get = ctx['wclass'].get")
-    emit("    classify = ctx['classify']")
-    if trap_core:
-        emit("    retire_emulated = ctx['emulated']")
-        emit("    retire_mret = ctx['mret']")
-        emit("    enter_hw_trap = ctx['hw_trap']")
-        emit("    fire_index = ctx['fire_index']")
-        emit("    take_interrupt = ctx['take_interrupt']")
-    if decode_out:
-        emit("    dcache_get = _DCACHE.get")
-    for port in module.inputs():
-        if port.name not in ("imem_rdata", "dmem_rdata"):
-            emit(f"    {sig_var(port.name)} = env[{port.name!r}]"
-                 f" & {_mask(port.width)}")
+
+    def exit_lane(indent: str, cause: str) -> None:
+        emit(f"{indent}stop = {cause!r}")
+        emit(f"{indent}break")
 
     def flush_registers(indent: str) -> None:
         for reg in registers:
@@ -911,124 +897,223 @@ def _generate_core_source(module: Module) -> str:
             emit(f"{indent}{sig_var(reg.name)} = env[{reg.name!r}]"
                  f" & {_mask(reg.width)}")
 
-    reload_registers("    ")
-    emit("    halted = False")
-    emit("    reason = ''")
-    emit("    w = env.get('imem_rdata', 0)")
-    emit(f"    {sig_var('imem_rdata')} = w")
-    emit(f"    {sig_var('dmem_rdata')} = env.get('dmem_rdata', 0)")
-    if trap_core:
-        emit("    fire_at = fire_index()")
-    emit("    try:")
+    def assign(names: list, indent: str, temp_prefix: str) -> None:
+        emitter = _core_emitter(lines, indent,
+                                [effective[name] for name in names],
+                                temp_prefix, a)
+        for name in names:
+            code = emitter.ref(effective[name])
+            emit(f"{indent}{sig_var(name)} = {code}")
+
+    def reenter(call: str) -> None:
+        """A callback into Python: flush, call, reload, re-arm."""
+        flush_registers("                ")
+        emit(f"                {call}")
+        reload_registers("                ")
+        if service:
+            emit("                fire_at = fire_index()")
+
+    def retire_illegal() -> None:
+        reenter(f"retire_illegal(count, pc, w, {intr})")
+        emit("                count += 1")
+        emit("                continue")
+
+    if a.decode_out and not batched:
+        # run_fleet shares this memo (compile_fleet grafts it).
+        emit("_DCACHE = {}")
+        emit("")
+        emit("def decode_comb(w):")
+        emit(f"    {sig_var('imem_rdata')} = w")
+        decode_emitter = _Emitter(
+            lines, "    ",
+            _count_refs([effective[name] for name in a.decode_names]
+                        + [expr for _, expr in a.synth_order]),
+            sig_var, "d", max_inline=_FUSED_MAX_INLINE)
+        for name in a.decode_names:
+            code = decode_emitter.ref(effective[name])
+            emit(f"    {sig_var(name)} = {code}")
+        for sig, expr in a.synth_order:
+            emit(f"    {sig_var(sig.name)} = {decode_emitter.ref(expr)}")
+        returned = "".join(sig_var(name) + ", " for name in a.decode_out)
+        emit(f"    return ({returned})")
+        emit("")
+    if batched:
+        emit("def run_fleet(ctx, lanes, quantum):")
+        ctx_keys = ("mems", "regfiles", "regs", "counts", "sinks",
+                    "ram_size", "halt_reason", "trace_load")
+    else:
+        emit("def run_cycles(ctx, count, limit, sink):")
+        ctx_keys = ("env", "regfile", "mem", "ram_size", "fetch",
+                    "load_mmio", "store_mmio", "illegal", "halt_reason",
+                    "trace_load")
+    renamed = {"regs": "regbanks", "fetch": "fetch_slow",
+               "illegal": "retire_illegal"}
+    for key in ctx_keys:
+        emit(f"    {renamed.get(key, key)} = ctx[{key!r}]")
+    emit("    wclass_get = ctx['wclass'].get")
+    emit("    classify = ctx['classify']")
+    if service:
+        emit("    retire_emulated = ctx['emulated']")
+        emit("    retire_mret = ctx['mret']")
+        emit("    enter_hw_trap = ctx['hw_trap']")
+        emit("    fire_index = ctx['fire_index']")
+        emit("    take_interrupt = ctx['take_interrupt']")
+    if a.decode_out:
+        emit("    dcache_get = _DCACHE.get")
+    for port in a.inputs:
+        if batched:
+            # Non-memory inputs hold their reset value (0) in every lane,
+            # like a fresh RtlSim the harness never drives.
+            emit(f"    {sig_var(port.name)} = 0")
+        else:
+            emit(f"    {sig_var(port.name)} = env[{port.name!r}]"
+                 f" & {_mask(port.width)}")
+
+    if batched:
+        emit("    halted_lanes = []")
+        emit("    diverged = []")
+        emit("    for lane in lanes:")
+        emit("        regfile = regfiles[lane]")
+        emit("        mem = mems[lane]")
+        emit("        _rb = regbanks[lane]")
+        for index, reg in enumerate(registers):
+            emit(f"        {sig_var(reg.name)} = _rb[{index}]"
+                 f" & {_mask(reg.width)}")
+        emit("        sink = sinks[lane]")
+        emit("        count = counts[lane]")
+        emit("        limit = count + quantum")
+        emit("        stop = ''")
+        emit("        halted = False")
+        emit("        reason = ''")
+    else:
+        reload_registers("    ")
+        emit("    halted = False")
+        emit("    reason = ''")
+        emit("    w = env.get('imem_rdata', 0)")
+        emit(f"    {sig_var('imem_rdata')} = w")
+        emit(f"    {sig_var('dmem_rdata')} = env.get('dmem_rdata', 0)")
+        if service:
+            emit("    fire_at = fire_index()")
+        emit("    try:")
     emit("        while count < limit:")
-    if trap_core:
+    if service:
         # Interrupt entry between retirements: one integer compare per
         # cycle against the precomputed fire index over every enabled
         # source (ISS fast-path idiom); the callback arbitrates and
         # returns the handler pc plus the RVFI intr cause code.
         emit("            if count >= fire_at:")
-        flush_registers("                ")
-        emit(f"                env['pc'], intr = take_interrupt(count, "
-             f"{sig_var('pc')})")
-        reload_registers("                ")
-        emit("                fire_at = fire_index()")
+        reenter(f"env['pc'], intr = take_interrupt(count, {sig_var('pc')})")
         emit("            else:")
         emit("                intr = 0")
     emit(f"            pc = {sig_var('pc')}")
     emit("            if pc & 3 or pc + 4 > ram_size:")
-    emit("                w = fetch_slow(pc)")
-    emit("            else:")
-    emit("                w = int.from_bytes(mem[pc:pc + 4], 'little')")
+    if batched:
+        exit_lane("                ", "fetch")
+        emit("            w = int.from_bytes(mem[pc:pc + 4], 'little')")
+    else:
+        emit("                w = fetch_slow(pc)")
+        emit("            else:")
+        emit("                w = int.from_bytes(mem[pc:pc + 4], 'little')")
     emit("            cls = wclass_get(w)")
     emit("            if cls is None:")
     emit("                cls = classify(w)")
-    emit("            if cls == 3:")
-    # RV32E register-bound violation: trap/refuse harness-side before
-    # the datapath truncates the register field (PR 5 conformance fix).
-    flush_registers("                ")
-    emit(f"                retire_illegal(count, pc, w, {intr})")
-    reload_registers("                ")
-    if trap_core:
-        emit("                fire_at = fire_index()")
-    emit("                count += 1")
-    emit("                continue")
-    if trap_core:
-        emit("            if cls == 1:")
-        flush_registers("                ")
-        emit("                halted, reason = retire_emulated(count, pc, "
-             "w, intr)")
-        reload_registers("                ")
-        emit("                fire_at = fire_index()")
-        emit("                count += 1")
-        emit("                if halted:")
-        emit("                    break")
-        emit("                continue")
+    if batched:
+        emit("            if cls:")
+        emit(f"                stop = {_WORD_CLASS_CAUSE!r}[cls]")
+        emit("                break")
+    else:
+        emit("            if cls == 3:")
+        # RV32E register-bound violation: trap/refuse harness-side before
+        # the datapath truncates the register field (PR 5 conformance fix).
+        retire_illegal()
+        if service:
+            emit("            if cls == 1:")
+            reenter("halted, reason = retire_emulated(count, pc, w, intr)")
+            emit("                count += 1")
+            emit("                if halted:")
+            emit("                    break")
+            emit("                continue")
     emit(f"            {sig_var('imem_rdata')} = w")
     emit(f"            {sig_var('dmem_rdata')} = 0")
-    if decode_out:
-        unpacked = "".join(sig_var(name) + ", " for name in decode_out)
+    if a.decode_out:
+        unpacked = "".join(sig_var(name) + ", " for name in a.decode_out)
         emit("            _dv = dcache_get(w)")
         emit("            if _dv is None:")
         emit("                _dv = _DCACHE[w] = decode_comb(w)")
         emit(f"            ({unpacked}) = _dv")
-    body = _core_emitter(lines, "            ",
-                         [effective[name] for name in cycle_names],
-                         sig_var, "t", module)
-    for name in cycle_names:
-        code = body.ref(effective[name])
-        emit(f"            {sig_var(name)} = {code}")
+    assign(a.cycle_names, "            ", "t")
     emit(f"            if {sig_var('illegal')}:")
-    flush_registers("                ")
-    emit(f"                retire_illegal(count, pc, w, {intr})")
-    reload_registers("                ")
-    if trap_core:
-        emit("                fire_at = fire_index()")
-    emit("                count += 1")
-    emit("                continue")
+    if batched:
+        exit_lane("                ", "illegal")
+        if a.trap_core:
+            # Hardware trap entry (ecall/ebreak with mtvec installed)
+            # diverges pre-instruction: the trap unit guarantees no
+            # load/store/halt asserts with it, so nothing has been
+            # applied yet.
+            emit(f"            if {sig_var('trap')}:")
+            exit_lane("                ", "trap")
+    else:
+        retire_illegal()
     emit(f"            reading = {sig_var('dmem_re')}")
     emit("            load_addr = mem_word = 0")
     emit("            if reading:")
     emit(f"                load_addr = {sig_var('dmem_addr')}")
     emit("                _ba = load_addr & 4294967292")
-    emit("                if _ba + 4 <= ram_size:")
-    emit("                    mem_word = int.from_bytes("
-         "mem[_ba:_ba + 4], 'little')")
-    emit("                else:")
-    emit("                    mem_word = load_mmio(count, _ba)")
-    if trap_core:
-        emit("                    fire_at = fire_index()")
+    if batched:
+        emit("                if _ba + 4 > ram_size:")
+        exit_lane("                    ", "load_oob")
+        emit("                mem_word = int.from_bytes("
+             "mem[_ba:_ba + 4], 'little')")
+    else:
+        emit("                if _ba + 4 <= ram_size:")
+        emit("                    mem_word = int.from_bytes("
+             "mem[_ba:_ba + 4], 'little')")
+        emit("                else:")
+        emit("                    mem_word = load_mmio(count, _ba)")
+        if service:
+            emit("                    fire_at = fire_index()")
     emit(f"                {sig_var('dmem_rdata')} = mem_word")
-    cone_emitter = _core_emitter(
-        lines, "                ",
-        [effective[name] for name in cone_names], sig_var, "c", module)
-    for name in cone_names:
-        code = cone_emitter.ref(effective[name])
-        emit(f"                {sig_var(name)} = {code}")
+    assign(a.cone_names, "                ", "c")
     emit("            mem_addr = mem_wmask = mem_wdata = 0")
     emit(f"            _wstrb = {sig_var('dmem_wstrb')}")
     emit("            if _wstrb:")
     emit("                _width = WSTRB_WIDTH.get(_wstrb)")
     emit("                if _width is None:")
-    emit("                    raise SimulationError("
-         "'malformed dmem_wstrb ' + format(_wstrb, '#06b'))")
+    if batched:
+        # The per-instance loop raises the canonical SimulationError.
+        exit_lane("                    ", "other")
+    else:
+        emit("                    raise SimulationError("
+             "'malformed dmem_wstrb ' + format(_wstrb, '#06b'))")
     emit("                _off = (_wstrb & -_wstrb).bit_length() - 1")
     emit(f"                mem_addr = ({sig_var('dmem_addr')}"
          " & 4294967292) + _off")
-    emit("                mem_wmask = (1 << _width) - 1")
-    emit(f"                mem_wdata = ({sig_var('dmem_wdata')}"
-         " >> (8 * _off)) & ((1 << (8 * _width)) - 1)")
-    emit("                if mem_addr + _width <= ram_size:")
-    emit("                    mem[mem_addr:mem_addr + _width] = "
-         "mem_wdata.to_bytes(_width, 'little')")
-    emit("                else:")
-    emit("                    if store_mmio(count, mem_addr, mem_wdata, "
-         "_width):")
-    emit("                        halted = True")
-    emit("                        reason = 'poweroff'")
-    if trap_core:
-        emit("                    fire_at = fire_index()")
+
+    def store_data() -> None:
+        emit("                mem_wmask = (1 << _width) - 1")
+        emit(f"                mem_wdata = ({sig_var('dmem_wdata')}"
+             " >> (8 * _off)) & ((1 << (8 * _width)) - 1)")
+
+    if batched:
+        emit("                if mem_addr + _width > ram_size:")
+        exit_lane("                    ", "store_oob")
+        store_data()
+        emit("                mem[mem_addr:mem_addr + _width] = "
+             "mem_wdata.to_bytes(_width, 'little')")
+    else:
+        store_data()
+        emit("                if mem_addr + _width <= ram_size:")
+        emit("                    mem[mem_addr:mem_addr + _width] = "
+             "mem_wdata.to_bytes(_width, 'little')")
+        emit("                else:")
+        emit("                    if store_mmio(count, mem_addr, "
+             "mem_wdata, _width):")
+        emit("                        halted = True")
+        emit("                        reason = 'poweroff'")
+        if service:
+            emit("                    fire_at = fire_index()")
     trapped = "0"
-    if trap_core:
+    if service:
         # core_fusable guarantees trap_core == has_trap_out, so the trap
         # output, the mret class and the fire-index plumbing come and go
         # together.
@@ -1041,7 +1126,9 @@ def _generate_core_source(module: Module) -> str:
         emit("            elif cls == 2:")
         emit("                retire_mret()")
         emit("                fire_at = fire_index()")
-    emit(f"            if not halted and {sig_var('halt')}:")
+    # Only a single-instance poweroff store can have halted already.
+    guard = "" if batched else "not halted and "
+    emit(f"            if {guard}{sig_var('halt')}:")
     emit("                halted = True")
     emit("                reason = halt_reason(w)")
     emit("            if sink is not None:")
@@ -1065,17 +1152,16 @@ def _generate_core_source(module: Module) -> str:
     # Tick: all next/enable values are latched into temporaries before any
     # register local is reassigned — commits must observe pre-tick state
     # even when one register's next is another register's current value.
-    tick_roots = list(tick_next.values()) + list(tick_enable.values())
-    tick = _core_emitter(lines, "            ", tick_roots, sig_var, "k",
-                         module)
+    tick_roots = list(a.tick_next.values()) + list(a.tick_enable.values())
+    tick = _core_emitter(lines, "            ", tick_roots, "k", a)
     commits: list[str] = []
     for index, reg in enumerate(registers):
         if reg.next is None:
             continue
-        emit(f"            _nx{index} = {tick.ref(tick_next[reg.name])}")
+        emit(f"            _nx{index} = {tick.ref(a.tick_next[reg.name])}")
         if reg.enable is not None:
             emit(f"            _en{index} = "
-                 f"{tick.ref(tick_enable[reg.name])}")
+                 f"{tick.ref(a.tick_enable[reg.name])}")
             commits.append(f"            if _en{index}:\n"
                            f"                {sig_var(reg.name)} = "
                            f"_nx{index}")
@@ -1090,15 +1176,25 @@ def _generate_core_source(module: Module) -> str:
     emit("            count += 1")
     emit("            if halted:")
     emit("                break")
-    emit("    finally:")
-    flush_registers("        ")
-    # Flush the last word the *hardware datapath* evaluated, not the raw
-    # fetch: an emulated Zicsr/wfi retirement never drives the RTL inputs
-    # on the per-cycle oracles either, so a paused probe must not see the
-    # emulated word settle through the combinational logic.
-    emit(f"        env['imem_rdata'] = {sig_var('imem_rdata')}")
-    emit(f"        env['dmem_rdata'] = {sig_var('dmem_rdata')}")
-    emit("    return halted, reason, count")
+    if batched:
+        for index, reg in enumerate(registers):
+            emit(f"        _rb[{index}] = {sig_var(reg.name)}")
+        emit("        counts[lane] = count")
+        emit("        if halted:")
+        emit("            halted_lanes.append((lane, reason))")
+        emit("        elif stop:")
+        emit("            diverged.append((lane, stop))")
+        emit("    return halted_lanes, diverged")
+    else:
+        emit("    finally:")
+        flush_registers("        ")
+        # Flush the last word the *hardware datapath* evaluated, not the
+        # raw fetch: an emulated Zicsr/wfi retirement never drives the RTL
+        # inputs on the per-cycle oracles either, so a paused probe must
+        # not see the emulated word settle through the combinational logic.
+        emit(f"        env['imem_rdata'] = {sig_var('imem_rdata')}")
+        emit(f"        env['dmem_rdata'] = {sig_var('dmem_rdata')}")
+        emit("    return halted, reason, count")
     return "\n".join(lines) + "\n"
 
 
@@ -1109,30 +1205,25 @@ _core_cache: "weakref.WeakKeyDictionary[Module, tuple[int, CompiledCore]]" \
 def compile_core(module: Module) -> CompiledCore:
     """Compile (or fetch the cached compilation of) the fused cycle loop.
 
-    Same caching contract as :func:`compile_module`: keyed on the module
-    object plus the structural fingerprint, so failure-injection mutants
-    recompile transparently.  Callers must check :func:`core_fusable`
-    first."""
+    Same caching contract as :func:`compile_module`, so failure-injection
+    mutants recompile transparently.  Callers must check
+    :func:`core_fusable` first."""
     if not core_fusable(module):
         raise IrError(f"module {module.name} does not expose the fused "
                       f"harness interface")
-    key = _fingerprint(module)
-    hit = _core_cache.get(module)
-    if hit is not None and hit[0] == key:
-        if _obs._ACTIVE is not None:
-            _obs._ACTIVE.counters["compile_cache.core.hit"] += 1
-        return hit[1]
-    if _obs._ACTIVE is not None:
-        _obs._ACTIVE.counters["compile_cache.core.miss"] += 1
-    from ..sim.decoded import SimulationError
-    source = _generate_core_source(module)
-    namespace: dict[str, object] = {"WSTRB_WIDTH": WSTRB_WIDTH,
-                                    "SimulationError": SimulationError}
-    exec(compile(source, f"<rtl-fused:{module.name}>", "exec"), namespace)
-    compiled = CompiledCore(run_cycles=namespace["run_cycles"],
-                            source=source, namespace=namespace)
-    _core_cache[module] = (key, compiled)
-    return compiled
+
+    def build() -> CompiledCore:
+        from ..sim.decoded import SimulationError
+        analysis = _analyze_core(module)
+        source = _generate_loop_source(analysis, batched=False)
+        namespace: dict[str, object] = {"WSTRB_WIDTH": WSTRB_WIDTH,
+                                        "SimulationError": SimulationError}
+        exec(compile(source, f"<rtl-fused:{module.name}>", "exec"),
+             namespace)
+        return CompiledCore(run_cycles=namespace["run_cycles"],
+                            source=source, namespace=namespace,
+                            analysis=analysis)
+    return _cached(_core_cache, "core", module, build)
 
 
 # ---------------------------------------------------------------------------
@@ -1143,7 +1234,8 @@ class CompiledFleet:
     """The batched fleet entry point plus its generated source."""
 
     run_fleet: object   # callable(ctx, lanes, quantum) ->
-    #                     (halted: list[(lane, reason)], diverged: list[lane])
+    #                     (halted: list[(lane, reason)],
+    #                      diverged: list[(lane, cause)])
     #: Per-lane register-bank layout: bank slot ``i`` holds the register
     #: named ``registers[i]`` — the adoption contract between the batched
     #: arrays and a per-instance ``RisspSim``'s ``env``.
@@ -1155,199 +1247,6 @@ class CompiledFleet:
     namespace: dict = None
 
 
-def _generate_fleet_source(a: _CoreAnalysis) -> str:
-    """Generate the batched ``run_fleet(ctx, lanes, quantum)`` source.
-
-    One call advances every listed lane (instance) by up to ``quantum``
-    retirements over per-instance state arrays: ``mems[lane]`` (RAM
-    bytearray), ``regfiles[lane]`` (register-file list), ``regs[lane]``
-    (module-register bank laid out per :attr:`CompiledFleet.registers`),
-    ``counts[lane]`` and ``sinks[lane]`` (RVFI row sink or None).  The
-    cycle body is the same emission as the fused single-instance loop —
-    same comb statements, same decode cache (grafted from the fused
-    namespace by :func:`compile_fleet`), same RVFI row fields, same tick.
-
-    Divergence rule: any retirement the batched template cannot complete
-    bit-identically in place — misaligned/out-of-range fetch, a word the
-    harness owns (emulated Zicsr/wfi, mret, RV32E bound), an illegal or
-    trapping instruction, an out-of-RAM (MMIO) load or store, a malformed
-    store strobe — stops the lane *before* that instruction applies any
-    state and reports it in the ``diverged`` list.  The caller re-runs the
-    instruction on the per-instance fused path, which owns every one of
-    those events, so a diverged lane's trajectory (including error
-    surfaces) is bit-identical to a single-core run.  Divergence is
-    checked strictly pre-commit: a diverging instruction has written
-    neither memory (``trap`` can only assert for ecall/ebreak, which never
-    store) nor registers when the lane exits the batch.
-
-    Halting retirements (ecall/ebreak with no handler installed) complete
-    in-batch exactly like the fused loop and land in ``halted``.
-    """
-    module = a.module
-    spec = module.regfile
-    sig_var = a.sig_var
-    lines: list[str] = []
-    emit = lines.append
-    emit("def run_fleet(ctx, lanes, quantum):")
-    for key, local in (("mems", "mems"), ("regfiles", "regfiles"),
-                       ("regs", "regbanks"), ("counts", "counts"),
-                       ("sinks", "sinks"), ("ram_size", "ram_size"),
-                       ("halt_reason", "halt_reason"),
-                       ("trace_load", "trace_load")):
-        emit(f"    {local} = ctx[{key!r}]")
-    emit("    wclass_get = ctx['wclass'].get")
-    emit("    classify = ctx['classify']")
-    if a.decode_out:
-        emit("    dcache_get = _DCACHE.get")
-    # Non-memory input ports hold their reset value (0) for every batched
-    # lane, exactly like a fresh RtlSim the harness never drives.
-    for port in module.inputs():
-        if port.name not in ("imem_rdata", "dmem_rdata"):
-            emit(f"    {sig_var(port.name)} = 0")
-    emit("    halted_lanes = []")
-    emit("    diverged = []")
-    emit("    for lane in lanes:")
-    emit("        regfile = regfiles[lane]")
-    emit("        mem = mems[lane]")
-    emit("        _rb = regbanks[lane]")
-    for index, reg in enumerate(a.registers):
-        emit(f"        {sig_var(reg.name)} = _rb[{index}]"
-             f" & {_mask(reg.width)}")
-    emit("        sink = sinks[lane]")
-    emit("        count = counts[lane]")
-    emit("        limit = count + quantum")
-    emit("        stop = 0")
-    emit("        reason = ''")
-    emit("        while count < limit:")
-    emit(f"            pc = {sig_var('pc')}")
-    emit("            if pc & 3 or pc + 4 > ram_size:")
-    emit("                stop = 2")
-    emit("                break")
-    emit("            w = int.from_bytes(mem[pc:pc + 4], 'little')")
-    emit("            cls = wclass_get(w)")
-    emit("            if cls is None:")
-    emit("                cls = classify(w)")
-    emit("            if cls:")
-    emit("                stop = 2")
-    emit("                break")
-    emit(f"            {sig_var('imem_rdata')} = w")
-    emit(f"            {sig_var('dmem_rdata')} = 0")
-    if a.decode_out:
-        unpacked = "".join(sig_var(name) + ", " for name in a.decode_out)
-        emit("            _dv = dcache_get(w)")
-        emit("            if _dv is None:")
-        emit("                _dv = _DCACHE[w] = decode_comb(w)")
-        emit(f"            ({unpacked}) = _dv")
-    body = _core_emitter(lines, "            ",
-                         [a.effective[name] for name in a.cycle_names],
-                         sig_var, "t", module)
-    for name in a.cycle_names:
-        code = body.ref(a.effective[name])
-        emit(f"            {sig_var(name)} = {code}")
-    emit(f"            if {sig_var('illegal')}:")
-    emit("                stop = 2")
-    emit("                break")
-    if a.trap_core:
-        # Hardware trap entry (ecall/ebreak with mtvec installed) diverges
-        # pre-instruction: the trap unit guarantees no load/store/halt
-        # asserts with it, so nothing has been applied yet.
-        emit(f"            if {sig_var('trap')}:")
-        emit("                stop = 2")
-        emit("                break")
-    emit(f"            reading = {sig_var('dmem_re')}")
-    emit("            load_addr = mem_word = 0")
-    emit("            if reading:")
-    emit(f"                load_addr = {sig_var('dmem_addr')}")
-    emit("                _ba = load_addr & 4294967292")
-    emit("                if _ba + 4 > ram_size:")
-    emit("                    stop = 2")
-    emit("                    break")
-    emit("                mem_word = int.from_bytes("
-         "mem[_ba:_ba + 4], 'little')")
-    emit(f"                {sig_var('dmem_rdata')} = mem_word")
-    cone_emitter = _core_emitter(
-        lines, "                ",
-        [a.effective[name] for name in a.cone_names], sig_var, "c", module)
-    for name in a.cone_names:
-        code = cone_emitter.ref(a.effective[name])
-        emit(f"                {sig_var(name)} = {code}")
-    emit("            mem_addr = mem_wmask = mem_wdata = 0")
-    emit(f"            _wstrb = {sig_var('dmem_wstrb')}")
-    emit("            if _wstrb:")
-    emit("                _width = WSTRB_WIDTH.get(_wstrb)")
-    emit("                if _width is None:")
-    # Malformed strobe: diverge; the per-instance path raises the
-    # SimulationError with the canonical message.
-    emit("                    stop = 2")
-    emit("                    break")
-    emit("                _off = (_wstrb & -_wstrb).bit_length() - 1")
-    emit(f"                mem_addr = ({sig_var('dmem_addr')}"
-         " & 4294967292) + _off")
-    emit("                if mem_addr + _width > ram_size:")
-    emit("                    stop = 2")
-    emit("                    break")
-    emit("                mem_wmask = (1 << _width) - 1")
-    emit(f"                mem_wdata = ({sig_var('dmem_wdata')}"
-         " >> (8 * _off)) & ((1 << (8 * _width)) - 1)")
-    emit("                mem[mem_addr:mem_addr + _width] = "
-         "mem_wdata.to_bytes(_width, 'little')")
-    emit(f"            if {sig_var('halt')}:")
-    emit("                stop = 1")
-    emit("                reason = halt_reason(w)")
-    emit("            if sink is not None:")
-    emit("                mem_rmask = mem_rdata = 0")
-    emit("                if reading:")
-    emit("                    mem_addr, mem_rmask, mem_rdata = "
-         "trace_load(w, load_addr, mem_word)")
-    emit(f"                _rs1a = {sig_var(a.rs1_addr_sig)}")
-    emit(f"                _rs2a = {sig_var(a.rs2_addr_sig)}")
-    emit(f"                _we = {sig_var(a.we_sig)}")
-    emit(f"                _wa = {sig_var(a.waddr_sig)} if _we else 0")
-    emit(f"                sink(count, w, pc, {sig_var('next_pc')}, "
-         "_rs1a, _rs2a,")
-    emit("                     regfile[_rs1a] if _rs1a else 0,")
-    emit("                     regfile[_rs2a] if _rs2a else 0,")
-    emit(f"                     _wa, {sig_var(a.wdata_sig)} if _we and _wa "
-         "else 0,")
-    emit("                     mem_addr, mem_rmask, mem_wmask, mem_rdata, "
-         "mem_wdata,")
-    emit("                     0, 0)")
-    tick_roots = list(a.tick_next.values()) + list(a.tick_enable.values())
-    tick = _core_emitter(lines, "            ", tick_roots, sig_var, "k",
-                         module)
-    commits: list[str] = []
-    for index, reg in enumerate(a.registers):
-        if reg.next is None:
-            continue
-        emit(f"            _nx{index} = {tick.ref(a.tick_next[reg.name])}")
-        if reg.enable is not None:
-            emit(f"            _en{index} = "
-                 f"{tick.ref(a.tick_enable[reg.name])}")
-            commits.append(f"            if _en{index}:\n"
-                           f"                {sig_var(reg.name)} = "
-                           f"_nx{index}")
-        else:
-            commits.append(f"            {sig_var(reg.name)} = _nx{index}")
-    emit(f"            if {sig_var(a.we_sig)}:")
-    emit(f"                _wa = {sig_var(a.waddr_sig)} % {spec.num_regs}")
-    emit("                if _wa:")
-    emit(f"                    regfile[_wa] = {sig_var(a.wdata_sig)}"
-         f" & {_mask(spec.width)}")
-    lines.extend(commits)
-    emit("            count += 1")
-    emit("            if stop:")
-    emit("                break")
-    for index, reg in enumerate(a.registers):
-        emit(f"        _rb[{index}] = {sig_var(reg.name)}")
-    emit("        counts[lane] = count")
-    emit("        if stop == 1:")
-    emit("            halted_lanes.append((lane, reason))")
-    emit("        elif stop == 2:")
-    emit("            diverged.append(lane)")
-    emit("    return halted_lanes, diverged")
-    return "\n".join(lines) + "\n"
-
-
 _fleet_cache: "weakref.WeakKeyDictionary[Module, tuple[int, CompiledFleet]]" \
     = weakref.WeakKeyDictionary()
 
@@ -1355,31 +1254,26 @@ _fleet_cache: "weakref.WeakKeyDictionary[Module, tuple[int, CompiledFleet]]" \
 def compile_fleet(module: Module) -> CompiledFleet:
     """Compile (or fetch the cached compilation of) the batched fleet loop.
 
-    Compiles the single-instance fused loop first and grafts its per-word
-    decode cache (``_DCACHE`` dict plus the ``decode_comb`` function) into
-    the batched loop's namespace: every instance of every
+    Compiles the single-instance fused loop first, emits the batched loop
+    from the analysis that compile kept, and grafts its per-word decode
+    cache (``_DCACHE`` dict plus the ``decode_comb`` function) into the
+    batched loop's namespace: every instance of every
     :class:`~repro.rtl.fleet.FleetSim` sharing this module — and the
     per-instance fused path diverged lanes fall back to — decodes each
     distinct instruction word exactly once per process.  Same caching
     contract as :func:`compile_core`."""
     core = compile_core(module)
-    key = _fingerprint(module)
-    hit = _fleet_cache.get(module)
-    if hit is not None and hit[0] == key:
-        if _obs._ACTIVE is not None:
-            _obs._ACTIVE.counters["compile_cache.fleet.hit"] += 1
-        return hit[1]
-    if _obs._ACTIVE is not None:
-        _obs._ACTIVE.counters["compile_cache.fleet.miss"] += 1
-    source = _generate_fleet_source(_analyze_core(module))
-    namespace: dict[str, object] = {
-        "WSTRB_WIDTH": WSTRB_WIDTH,
-        "_DCACHE": core.namespace.get("_DCACHE"),
-        "decode_comb": core.namespace.get("decode_comb"),
-    }
-    exec(compile(source, f"<rtl-fleet:{module.name}>", "exec"), namespace)
-    compiled = CompiledFleet(run_fleet=namespace["run_fleet"],
+
+    def build() -> CompiledFleet:
+        source = _generate_loop_source(core.analysis, batched=True)
+        namespace: dict[str, object] = {
+            "WSTRB_WIDTH": WSTRB_WIDTH,
+            "_DCACHE": core.namespace.get("_DCACHE"),
+            "decode_comb": core.namespace.get("decode_comb"),
+        }
+        exec(compile(source, f"<rtl-fleet:{module.name}>", "exec"),
+             namespace)
+        return CompiledFleet(run_fleet=namespace["run_fleet"],
                              registers=tuple(module.registers),
                              source=source, namespace=namespace)
-    _fleet_cache[module] = (key, compiled)
-    return compiled
+    return _cached(_fleet_cache, "fleet", module, build)

@@ -183,13 +183,22 @@ def test_build_rissp_lint_gate_reuses_facts():
 
 
 def _compiled_targets():
+    """Every codegen path over the plain exercise core, plus the loops of
+    the trap-capable full core (the interrupt, emulated-Zicsr, ``mret``
+    and hardware-trap suites of ``run_cycles`` and the ``trap`` exit of
+    ``run_fleet`` exist only there)."""
     from repro.farm import mutation_exercise_target
+    from repro.isa import INSTRUCTIONS
     from repro.rtl.compiled import compile_core, compile_fleet, compile_module
+    from repro.rtl.rissp import build_rissp
 
     core, _ = mutation_exercise_target()
+    trap_core = build_rissp([d.mnemonic for d in INSTRUCTIONS] + ["mret"])
     return (("module", compile_module(core)),
             ("core", compile_core(core)),
-            ("fleet", compile_fleet(core)))
+            ("fleet", compile_fleet(core)),
+            ("core", compile_core(trap_core)),
+            ("fleet", compile_fleet(trap_core)))
 
 
 def test_gen_audit_passes_all_three_codegen_paths():
@@ -197,15 +206,19 @@ def test_gen_audit_passes_all_three_codegen_paths():
         assert audit_compiled(compiled, kind) == [], kind
 
 
-@pytest.fixture(scope="module")
-def core_source():
+def _source_and_namespace(kind):
     from repro.farm import mutation_exercise_target
-    from repro.rtl.compiled import compile_core
+    from repro.rtl.compiled import compile_core, compile_fleet
 
     core, _ = mutation_exercise_target()
-    compiled = compile_core(core)
+    compiled = (compile_core if kind == "core" else compile_fleet)(core)
     allowed = tuple(n for n in compiled.namespace if n != "__builtins__")
     return compiled.source, allowed
+
+
+@pytest.fixture(scope="module")
+def core_source():
+    return _source_and_namespace("core")
 
 
 # Column-pinned anchor (the leading newline rejects deeper-indented
@@ -251,12 +264,22 @@ def test_dirtied_template_env_store_flagged(core_source):
     assert "GEN003" in _rules(audit_source(dirty, "core", allowed))
 
 
-def test_dirtied_template_bare_break_flagged(core_source):
-    source, allowed = core_source
+def _bare_break_findings(kind, source, allowed):
     dirty = _dirty(source, _TAIL,
                    "\n            if count == 99:"
                    "\n                break" + _TAIL)
-    assert "GEN004" in _rules(audit_source(dirty, "core", allowed))
+    return _rules(audit_source(dirty, kind, allowed))
+
+
+def test_dirtied_template_bare_break_flagged(core_source):
+    assert "GEN004" in _bare_break_findings("core", *core_source)
+
+
+def test_dirtied_fleet_template_bare_break_flagged():
+    """The batched loop's exits are ``stop`` strings; an unclassified
+    break in ``run_fleet`` must still be caught."""
+    assert "GEN004" in _bare_break_findings(
+        "fleet", *_source_and_namespace("fleet"))
 
 
 def test_classified_break_not_flagged():

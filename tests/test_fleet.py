@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.isa import INSTRUCTIONS, assemble
 from repro.rtl.compiled import compile_fleet
 from repro.rtl.core_sim import RisspSim
 from repro.rtl.fleet import FleetSim
+from repro.rtl.ir import Const
 from repro.rtl.rissp import build_rissp
-from repro.sim.golden import SimulationError
+from repro.sim.golden import _HALT_SENTINEL, SimulationError
+from repro.sim.memory import MemoryError_
 from repro.sim.tracing import RvfiTrace
 
 FULL_SUBSET = [d.mnemonic for d in INSTRUCTIONS]
@@ -249,6 +252,69 @@ def test_illegal_word_raises_like_single_core(full_core):
     single = RisspSim(full_core, program)
     with pytest.raises(SimulationError):
         single.run(max_instructions=100)
+
+
+#: One program per divergence cause the batched loop can name:
+#: (cause, core fixture, source, install a trap handler).  Every program
+#: diverges exactly once and then raises or spins on the fallback path.
+DIVERGENCE_CASES = [
+    ("fetch", "full_core", "li t0, 0x102\n jr t0\n", False),
+    ("fetch", "full_core", "li t0, 0x40000\n jr t0\n", False),
+    ("load_oob", "full_core", "li t0, 0x40000\n lw a0, 0(t0)\n ecall\n",
+     False),
+    ("store_oob", "full_core", "li t0, 0x40000\n sw a0, 0(t0)\n ecall\n",
+     False),
+    ("other", "bad_strobe_core", "li a0, 1\n ecall\n", False),
+    ("emulated", "trap_core",
+     "csrrs t0, mscratch, zero\nspin:\n j spin\n", False),
+    ("mret", "trap_core", "mret\n", False),
+    ("trap", "trap_core", "ecall\n", True),
+    # add x16, x0, x0 — decodable, register field past the RV32E bound
+    ("rv32e_bound", "trap_core", ".word 0x00000833\n", True),
+    ("illegal", "trap_core", ".word 0xFFFFFFFF\n", True),
+]
+
+
+@pytest.fixture(scope="module")
+def bad_strobe_core():
+    """A full core whose store strobe is a constant malformed pattern."""
+    core = build_rissp(FULL_SUBSET)
+    core.assigns["dmem_wstrb"] = Const(
+        0b0101, core.signal_width("dmem_wstrb"))
+    return core
+
+
+def _outcome(run):
+    try:
+        result = run()
+    except (MemoryError_, SimulationError) as error:
+        return type(error), str(error)
+    return result.exit_code, result.instructions, result.halted_by
+
+
+@pytest.mark.parametrize(
+    "cause,core_name,source,handler", DIVERGENCE_CASES,
+    ids=[f"{case[0]}-{index}" for index, case
+         in enumerate(DIVERGENCE_CASES)])
+def test_batched_loop_names_each_divergence_cause(
+        request, cause, core_name, source, handler):
+    """The batched loop reports why a lane left it: exactly one
+    ``fleet.diverge.*`` counter moves, the lane is on the fallback path,
+    and its result or error equals a lone single-core run."""
+    core = request.getfixturevalue(core_name)
+    program = assemble(".text\nstart:\n " + source)
+    fleet = FleetSim(core, program)
+    sim = RisspSim(core, program)
+    if handler:
+        fleet.poke_register(0, "mtvec", _HALT_SENTINEL)
+        sim.rtl.env["mtvec"] = _HALT_SENTINEL
+    with obs.session() as telemetry:
+        outcome = _outcome(lambda: fleet.run(max_instructions=32)[0])
+    moved = {name: value for name, value in telemetry.counters.items()
+             if name.startswith("fleet.diverge.") and value}
+    assert moved == {f"fleet.diverge.{cause}": 1}
+    assert fleet.lane_state(0) == "fallback"
+    assert outcome == _outcome(lambda: sim.run(max_instructions=32))
 
 
 def test_divergent_lane_keeps_tracing(trap_core):
